@@ -212,7 +212,6 @@ func main() {
 		opt := train.DefaultOptions()
 		opt.Epochs = *epochs
 		opt.Seed = *seed
-		opt.Workers = *workers
 		opt.Obs = sink
 		opt.Budget = budget
 		if shared.CheckpointDir != "" {

@@ -7,13 +7,17 @@ import (
 )
 
 // evalSession is the refiner's workspace-backed evaluation state: one
-// tensor arena reused across iterations plus a single-entry memo of the
-// last forward pass, keyed by the exact Steiner coordinates. Algorithm 1
-// evaluates a candidate (evalMetrics) and, when it is accepted, asks for
-// gradients at the very same positions next iteration — the memo turns
-// that second Forward into a lookup. Forward passes are deterministic
-// functions of the coordinates, so replaying a cached tape is
-// byte-identical to recomputing it.
+// tensor arena reused across iterations plus a memo of the last fused
+// forward pass, keyed by the exact lane-major Steiner coordinates of its
+// lanes. Every forward the session runs is a ForwardBatch — K lanes for a
+// multi-candidate iteration, one lane for everything else — so a single
+// memo covers both. Algorithm 1 evaluates a candidate and, when it is
+// accepted, asks for gradients at the very same positions next
+// iteration; the memo turns that second forward into a lane lookup.
+// Forward passes are deterministic functions of the coordinates, and
+// lane k of a batched pass is bit-identical to a forward on candidate k
+// alone, so serving a request from a memoized lane is byte-identical to
+// recomputing it.
 //
 // The memo may be consumed by at most one Backward (gradients accumulate
 // into the cached leaves), and appending penalty ops dirties the tape, so
@@ -24,27 +28,14 @@ type evalSession struct {
 	r  *Refiner
 	ws *tensor.Workspace
 
-	// curX/curY stage the forest's coordinates for the memo comparison.
+	// curX/curY stage a forest's coordinates for the memo lookup.
 	curX, curY []float64
-	// Memoized forward pass (valid only until the next workspace reset).
+	// Memoized forward pass (valid only until the next workspace reset;
+	// bp == nil means none): the tape, its prediction and the lane-major
+	// coordinates it was evaluated at.
 	memoX, memoY []float64
-	memoValid    bool
 	tp           *tensor.Tape
-	xs, ys       *tensor.Tensor
-	pred         *gnn.Prediction
-
-	// Batched candidate memo: the last ForwardBatch's tape with its
-	// lane-major coordinates. laneGradients serves a gradient request
-	// whose coordinates are bit-identical to one lane by appending the
-	// penalty and backward-propagating a lane slice — the second forward
-	// Algorithm 1 would otherwise pay at the accepted candidate's
-	// positions. Shares the workspace with the unbatched memo, so at
-	// most one of the two is valid at a time.
-	bX, bY []float64
-	bLanes int
-	bTp    *tensor.Tape
-	bp     *gnn.BatchPrediction
-	bValid bool
+	bp           *gnn.BatchPrediction
 }
 
 func newEvalSession(r *Refiner) *evalSession {
@@ -53,7 +44,6 @@ func newEvalSession(r *Refiner) *evalSession {
 		r:    r,
 		ws:   tensor.NewWorkspace(),
 		curX: make([]float64, n), curY: make([]float64, n),
-		memoX: make([]float64, n), memoY: make([]float64, n),
 	}
 }
 
@@ -69,13 +59,10 @@ func (r *Refiner) session() *evalSession {
 	return r.sess
 }
 
-// invalidate drops the memoized forward passes — unbatched and batched —
-// (the workspace storage itself is reclaimed by the next forward's reset).
+// invalidate drops the memoized forward pass (the workspace storage
+// itself is reclaimed by the next forward's reset).
 func (s *evalSession) invalidate() {
-	s.memoValid = false
-	s.tp, s.xs, s.ys, s.pred = nil, nil, nil, nil
-	s.bValid = false
-	s.bTp, s.bp = nil, nil
+	s.tp, s.bp = nil, nil
 }
 
 func sliceEq(a, b []float64) bool {
@@ -87,37 +74,9 @@ func sliceEq(a, b []float64) bool {
 	return true
 }
 
-// forward returns the evaluator's forward pass at f's current positions,
-// reusing the memoized tape when the coordinates are bit-identical to the
-// previous call's.
-func (s *evalSession) forward(f *rsmt.Forest) (*tensor.Tape, *tensor.Tensor, *tensor.Tensor, *gnn.Prediction, error) {
-	if err := s.r.Batch.FillSteinerCoords(f, s.curX, s.curY); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if s.memoValid && sliceEq(s.curX, s.memoX) && sliceEq(s.curY, s.memoY) {
-		s.r.sink().Add("core.memo_hits", 1)
-		return s.tp, s.xs, s.ys, s.pred, nil
-	}
-	s.invalidate()
-	tp := s.ws.Tape()
-	xs, ys, err := s.r.Batch.LeavesFromCoords(tp, s.curX, s.curY)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	pred, err := s.r.Model.Forward(tp, s.r.Batch, xs, ys, false)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	copy(s.memoX, s.curX)
-	copy(s.memoY, s.curY)
-	s.tp, s.xs, s.ys, s.pred = tp, xs, ys, pred
-	s.memoValid = true
-	return tp, xs, ys, pred, nil
-}
-
 // forwardBatch runs one fused K-lane forward at the staged candidate
-// coordinates (lane-major), memoizing the tape so a following gradient
-// request at one lane's exact coordinates can reuse it.
+// coordinates (lane-major), memoizing the tape so a following request at
+// one lane's exact coordinates can reuse it.
 func (s *evalSession) forwardBatch(lanes int, laneXs, laneYs []float64) (*gnn.BatchPrediction, error) {
 	s.invalidate()
 	tp := s.ws.Tape()
@@ -126,62 +85,85 @@ func (s *evalSession) forwardBatch(lanes int, laneXs, laneYs []float64) (*gnn.Ba
 		return nil, err
 	}
 	n := lanes * s.r.Batch.NSteiner
-	if cap(s.bX) < n {
-		s.bX = make([]float64, n)
-		s.bY = make([]float64, n)
+	if cap(s.memoX) < n {
+		s.memoX = make([]float64, n)
+		s.memoY = make([]float64, n)
 	}
-	s.bX, s.bY = s.bX[:n], s.bY[:n]
-	copy(s.bX, laneXs)
-	copy(s.bY, laneYs)
-	s.bLanes, s.bTp, s.bp, s.bValid = lanes, tp, bp, true
+	s.memoX, s.memoY = s.memoX[:n], s.memoY[:n]
+	copy(s.memoX, laneXs)
+	copy(s.memoY, laneYs)
+	s.tp, s.bp = tp, bp
 	return bp, nil
 }
 
-// laneGradients serves a gradient request from the batched memo when f's
-// coordinates are bit-identical to one memoized lane: the penalty is
-// appended per-lane on the K-lane slack, a lane slice selects the
-// matching candidate's scalar, and Backward leaves that candidate's
-// exact gradient in its lane of the coordinate leaves (the other lanes
-// receive exact zeros). ok reports whether the request was served; a
-// miss falls back to a fresh forward.
-func (s *evalSession) laneGradients(f *rsmt.Forest, lw, lt float64) (gx, gy []float64, pval float64, ok bool, err error) {
-	if !s.bValid {
-		return nil, nil, 0, false, nil
-	}
+// forward returns a forward pass covering f's current positions and the
+// lane that holds them: a memoized lane when the coordinates are
+// bit-identical to one, otherwise a fresh 1-lane forward.
+func (s *evalSession) forward(f *rsmt.Forest) (*tensor.Tape, *gnn.BatchPrediction, int, error) {
 	if err := s.r.Batch.FillSteinerCoords(f, s.curX, s.curY); err != nil {
-		return nil, nil, 0, false, err
+		return nil, nil, 0, err
 	}
-	n := s.r.Batch.NSteiner
-	lane := -1
-	for k := 0; k < s.bLanes; k++ {
-		if sliceEq(s.curX, s.bX[k*n:(k+1)*n]) && sliceEq(s.curY, s.bY[k*n:(k+1)*n]) {
-			lane = k
-			break
+	if s.bp != nil {
+		n := s.r.Batch.NSteiner
+		for k := 0; k < s.bp.K; k++ {
+			if sliceEq(s.curX, s.memoX[k*n:(k+1)*n]) && sliceEq(s.curY, s.memoY[k*n:(k+1)*n]) {
+				s.r.sink().Add("core.memo_hits", 1)
+				s.r.sink().Add("core.lane_memo_hits", 1)
+				return s.tp, s.bp, k, nil
+			}
 		}
 	}
-	if lane < 0 {
-		return nil, nil, 0, false, nil
+	bp, err := s.forwardBatch(1, s.curX, s.curY)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	s.r.sink().Add("core.memo_hits", 1)
-	s.r.sink().Add("core.lane_memo_hits", 1)
-	tp, bp := s.bTp, s.bp
+	return s.tp, bp, 0, nil
+}
+
+// gradients computes the penalty gradient at f's positions on the
+// session path: the penalty is appended per-lane on the forward's slack,
+// a lane slice selects f's scalar, and Backward leaves f's exact
+// gradient in its lane of the coordinate leaves (the other lanes receive
+// exact zeros).
+func (s *evalSession) gradients(f *rsmt.Forest, lw, lt float64) (gx, gy []float64, pval float64, err error) {
+	tp, bp, lane, err := s.forward(f)
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	// The memo is consumed either way: penalty ops dirty the tape and
-	// Backward accumulates into its leaves.
+	// Backward accumulates into its leaves (and callers may escalate λ
+	// between calls).
 	defer s.invalidate()
 	p, err := s.r.penaltyMatrixOn(tp, bp.Slack, lw, lt)
 	if err != nil {
-		return nil, nil, 0, true, err
+		return nil, nil, 0, err
 	}
 	loss, err := tp.SliceLane(p, lane)
 	if err != nil {
-		return nil, nil, 0, true, err
+		return nil, nil, 0, err
 	}
 	if err := tp.Backward(loss); err != nil {
-		return nil, nil, 0, true, err
+		return nil, nil, 0, err
 	}
 	// Copies: workspace storage is reclaimed on the next forward, and
-	// callers hold the slices across further gradient calls.
+	// callers (adaptiveTheta, the NaN-recovery fault site) hold and
+	// mutate the slices across further gradient calls.
 	gx = append([]float64(nil), bp.Xs.LaneGrad(lane)...)
 	gy = append([]float64(nil), bp.Ys.LaneGrad(lane)...)
-	return gx, gy, loss.Data[0], true, nil
+	return gx, gy, loss.Data[0], nil
+}
+
+// penalty evaluates the smoothed penalty at f's positions without
+// gradients. The penalty ops dirty the memoized tape, so it is dropped.
+func (s *evalSession) penalty(f *rsmt.Forest, lw, lt float64) (float64, error) {
+	tp, bp, lane, err := s.forward(f)
+	if err != nil {
+		return 0, err
+	}
+	defer s.invalidate()
+	p, err := s.r.penaltyMatrixOn(tp, bp.Slack, lw, lt)
+	if err != nil {
+		return 0, err
+	}
+	return p.LaneData(lane)[0], nil
 }

@@ -122,13 +122,13 @@ type Options struct {
 
 	// CandidateLanes sets the number K of candidate steps evaluated per
 	// iteration in one fused batched forward pass: lane 0 takes the full
-	// SO step (exactly the single-candidate update) and lane k scales the
+	// SO step (Algorithm 1's single candidate) and lane k scales the
 	// displacement by 2^-k — a backtracking line search along the SO
 	// direction whose K evaluations share one amortized forward over the
 	// batch's precomputed structure tables. The lane with the best hard
 	// metrics (max WNS, ties by TNS, then lowest lane) becomes the
-	// iteration's candidate and meets the usual accept rule. 0 or 1
-	// preserves the single-candidate algorithm byte-for-byte. With
+	// iteration's candidate and meets the usual accept rule. Values ≤ 1
+	// run the same path with K = 1, which is Algorithm 1 exactly. With
 	// DisableWorkspace the same K candidates are evaluated by K
 	// sequential forwards instead — byte-identical trajectories, no
 	// batched kernels (the differential gate
@@ -161,8 +161,8 @@ type IterRecord struct {
 	WNS, TNS float64 // evaluated metrics of the chosen candidate
 	Accepted bool
 	Theta    float64
-	// Lane is the chosen candidate's lane (step scale 2^-Lane) when
-	// CandidateLanes > 1; always 0 on the single-candidate path.
+	// Lane is the chosen candidate's lane (step scale 2^-Lane); always
+	// 0 when CandidateLanes ≤ 1.
 	Lane int
 }
 
@@ -222,11 +222,11 @@ func (r *Refiner) sink() *obs.Sink { return r.Prep.Config.Obs }
 func (r *Refiner) evalMetrics(f *rsmt.Forest) (wns, tns float64, err error) {
 	r.sink().Add("core.evals", 1)
 	if s := r.session(); s != nil {
-		_, _, _, pred, err := s.forward(f)
+		_, bp, lane, err := s.forward(f)
 		if err != nil {
 			return 0, 0, err
 		}
-		wns, tns = r.metricsFromSlack(pred.Slack.Data)
+		wns, tns = r.metricsFromSlack(bp.LaneSlack(lane))
 		return wns, tns, nil
 	}
 	tp := tensor.NewTape()
@@ -263,28 +263,15 @@ func hardMetrics(slack []float64) (wns, tns float64) {
 // the forward pass as well (free for callers, logged by telemetry).
 func (r *Refiner) gradients(f *rsmt.Forest, lw, lt float64) (gx, gy []float64, pval float64, err error) {
 	r.sink().Add("core.grad_calls", 1)
-	var tp *tensor.Tape
-	var xs, ys *tensor.Tensor
-	var pred *gnn.Prediction
 	if s := r.session(); s != nil {
-		// A memoized batched candidate pass may already hold the forward
-		// at f's exact coordinates in one of its lanes; extracting the
-		// lane's gradient there skips the whole forward.
-		if gx, gy, pval, ok, lerr := s.laneGradients(f, lw, lt); ok || lerr != nil {
-			return gx, gy, pval, lerr
-		}
-		tp, xs, ys, pred, err = s.forward(f)
-		// Appending penalty ops and running Backward consume the
-		// memoized tape: gradients accumulate, so it must not be
-		// replayed (and callers may escalate λ between calls).
-		s.invalidate()
-	} else {
-		tp = tensor.NewTape()
-		xs, ys, err = r.Batch.SteinerLeaves(tp, f)
-		if err == nil {
-			pred, err = r.Model.Forward(tp, r.Batch, xs, ys, false)
-		}
+		return s.gradients(f, lw, lt)
 	}
+	tp := tensor.NewTape()
+	xs, ys, err := r.Batch.SteinerLeaves(tp, f)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	pred, err := r.Model.Forward(tp, r.Batch, xs, ys, false)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -295,10 +282,7 @@ func (r *Refiner) gradients(f *rsmt.Forest, lw, lt float64) (gx, gy []float64, p
 	if err := tp.Backward(p); err != nil {
 		return nil, nil, 0, err
 	}
-	// The returned slices are copies: workspace storage is reclaimed on
-	// the next forward, and callers (adaptiveTheta, the NaN-recovery
-	// fault site) hold and mutate them across further gradient calls.
-	return append([]float64(nil), xs.Grad...), append([]float64(nil), ys.Grad...), p.Data[0], nil
+	return xs.Grad, ys.Grad, p.Data[0], nil
 }
 
 // penalty builds P_γ = λ_w·w_γ + λ_t·t_γ on the tape (Eq. 4–6) from a
@@ -360,20 +344,15 @@ func (r *Refiner) penaltyOn(tp *tensor.Tape, slack *tensor.Tensor, lw, lt float6
 // forest's current positions without computing gradients.
 func (r *Refiner) Penalty(f *rsmt.Forest) (float64, error) {
 	r.sink().Add("core.penalty_evals", 1)
-	var tp *tensor.Tape
-	var pred *gnn.Prediction
-	var err error
 	if s := r.session(); s != nil {
-		tp, _, _, pred, err = s.forward(f)
-		s.invalidate() // penalty ops dirty the tape
-	} else {
-		tp = tensor.NewTape()
-		var xs, ys *tensor.Tensor
-		xs, ys, err = r.Batch.SteinerLeaves(tp, f)
-		if err == nil {
-			pred, err = r.Model.Forward(tp, r.Batch, xs, ys, false)
-		}
+		return s.penalty(f, r.Opt.LambdaW, r.Opt.LambdaT)
 	}
+	tp := tensor.NewTape()
+	xs, ys, err := r.Batch.SteinerLeaves(tp, f)
+	if err != nil {
+		return 0, err
+	}
+	pred, err := r.Model.Forward(tp, r.Batch, xs, ys, false)
 	if err != nil {
 		return 0, err
 	}
@@ -603,22 +582,16 @@ func (r *Refiner) refineFrom(startForest *rsmt.Forest, ckptPath string) (*Result
 	ysBuf := make([]float64, nVars)
 	dxBuf := make([]float64, nVars)
 	dyBuf := make([]float64, nVars)
-	// Multi-candidate staging (CandidateLanes ≥ 2): lane-major candidate
-	// coordinate blocks, per-lane metrics, and the scratch forest that
-	// realizes each lane's die clamp.
+	// Candidate staging: lane-major candidate coordinate blocks and
+	// per-lane metrics.
 	K := opt.CandidateLanes
 	if K < 1 {
 		K = 1
 	}
-	var laneXs, laneYs, laneWNS, laneTNS []float64
-	var scratch *rsmt.Forest
-	if K > 1 {
-		laneXs = make([]float64, K*nVars)
-		laneYs = make([]float64, K*nVars)
-		laneWNS = make([]float64, K)
-		laneTNS = make([]float64, K)
-		scratch = startForest.Clone()
-	}
+	laneXs := make([]float64, K*nVars)
+	laneYs := make([]float64, K*nVars)
+	laneWNS := make([]float64, K)
+	laneTNS := make([]float64, K)
 
 	for t := startIter; t < opt.N && !res.ConvergedByRatio; t++ {
 		iterM0 := r.sink().Mallocs()
@@ -665,9 +638,8 @@ func (r *Refiner) refineFrom(startForest *rsmt.Forest, ckptPath string) (*Result
 			continue
 		}
 		// The SO update is staged as a per-coordinate displacement first
-		// (moments update, MaxMove clamp), then applied — at full scale on
-		// the single-candidate path, at K geometric scales on the
-		// multi-candidate path.
+		// (moments update, MaxMove clamp), then applied at K geometric
+		// scales — lane 0 is the full step, the only one when K = 1.
 		// stepSq/clamped observe the update for telemetry only; they are
 		// derived from the same deterministic arithmetic, never fed back.
 		var stepSq float64
@@ -700,46 +672,18 @@ func (r *Refiner) refineFrom(startForest *rsmt.Forest, ckptPath string) (*Result
 		step(gy, mY, vY, dyBuf)
 		cur.CopySteinerPositionsInto(xsBuf, ysBuf)
 
-		var wns, tns float64
-		lane := 0
-		if K > 1 {
-			if err := r.stageCandidates(K, xsBuf, ysBuf, dxBuf, dyBuf, x0, y0, idx, scratch, laneXs, laneYs, &clamped); err != nil {
-				return nil, err
-			}
-			if err := r.evalCandidates(K, laneXs, laneYs, laneWNS, laneTNS); err != nil {
-				return nil, err
-			}
-			lane = chooseLane(laneWNS, laneTNS)
-			wns, tns = laneWNS[lane], laneTNS[lane]
-			if err := cand.SetSteinerPositions(laneXs[lane*nVars:(lane+1)*nVars], laneYs[lane*nVars:(lane+1)*nVars], idx, r.Prep.Design.Die); err != nil {
-				return nil, err
-			}
-		} else {
-			xs, ys := xsBuf, ysBuf
-			for i := range xs {
-				xs[i] -= dxBuf[i]
-				ys[i] -= dyBuf[i]
-			}
-			if rr := opt.TrustRadiusDBU; rr > 0 {
-				for i := range xs {
-					cx := clampTo(xs[i], x0[i]-rr, x0[i]+rr)
-					cy := clampTo(ys[i], y0[i]-rr, y0[i]+rr)
-					if cx != xs[i] {
-						clamped++
-					}
-					if cy != ys[i] {
-						clamped++
-					}
-					xs[i], ys[i] = cx, cy
-				}
-			}
-			if err := cand.SetSteinerPositions(xs, ys, idx, r.Prep.Design.Die); err != nil {
-				return nil, err
-			}
-			wns, tns, err = r.evalMetrics(cand)
-			if err != nil {
-				return nil, err
-			}
+		// cand doubles as the staging scratch: the chosen lane's
+		// positions then overwrite every Steiner coordinate it holds.
+		if err := r.stageCandidates(K, xsBuf, ysBuf, dxBuf, dyBuf, x0, y0, idx, cand, laneXs, laneYs, &clamped); err != nil {
+			return nil, err
+		}
+		if err := r.evalCandidates(K, laneXs, laneYs, laneWNS, laneTNS); err != nil {
+			return nil, err
+		}
+		lane := chooseLane(laneWNS, laneTNS)
+		wns, tns := laneWNS[lane], laneTNS[lane]
+		if err := cand.SetSteinerPositions(laneXs[lane*nVars:(lane+1)*nVars], laneYs[lane*nVars:(lane+1)*nVars], idx, r.Prep.Design.Die); err != nil {
+			return nil, err
 		}
 		accepted := opt.AlwaysAccept || wns > res.BestWNS || tns > res.BestTNS
 		if accepted && opt.HoldGuard && !opt.AlwaysAccept {

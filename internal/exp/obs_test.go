@@ -34,7 +34,7 @@ func runObsFlow(t *testing.T, workers int, sink *obs.Sink) string {
 		t.Fatal(err)
 	}
 	m := gnn.NewModel(gnn.DefaultConfig(), 7)
-	topt := train.Options{Epochs: 8, LR: 1e-2, Seed: 1, Workers: workers, Obs: sink}
+	topt := train.Options{Epochs: 8, LR: 1e-2, Seed: 1, Obs: sink}
 	loss, err := train.Train(m, []*train.Sample{smp}, topt)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package train
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -25,51 +26,39 @@ func sameParams(t *testing.T, a, b *gnn.Model, label string) {
 
 // TestTrainResumeByteIdentical: interrupt training after a prefix of
 // epochs (checkpointing each), resume to the full epoch count, and require
-// the final parameters to match an uninterrupted run exactly — in the
-// sequential mode and in the accumulation mode at 1 and 4 workers.
+// the final parameters to match an uninterrupted run exactly.
 func TestTrainResumeByteIdentical(t *testing.T) {
 	s := sample(t, "spm", 1.0, true)
 	const epochs = 10
-	modes := []struct {
-		name       string
-		accumulate bool
-		workers    int
-	}{
-		{"sequential", false, 1},
-		{"accumulate-w1", true, 1},
-		{"accumulate-w4", true, 4},
+	base := Options{Epochs: epochs, LR: 1e-2, Seed: 1}
+	clean := gnn.NewModel(gnn.DefaultConfig(), 5)
+	cleanLoss, err := Train(clean, []*Sample{s}, base)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, mode := range modes {
-		base := Options{Epochs: epochs, LR: 1e-2, Seed: 1, Accumulate: mode.accumulate, Workers: mode.workers}
-		clean := gnn.NewModel(gnn.DefaultConfig(), 5)
-		cleanLoss, err := Train(clean, []*Sample{s}, base)
+	for _, cut := range []int{1, epochs / 2, epochs - 1} {
+		path := filepath.Join(t.TempDir(), "train.ckpt")
+		m := gnn.NewModel(gnn.DefaultConfig(), 5)
+		iopt := base
+		iopt.Epochs = cut
+		iopt.CheckpointPath = path
+		if _, err := Train(m, []*Sample{s}, iopt); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		// Resume into a FRESH model: everything must come from the
+		// checkpoint, nothing from the interrupted process's memory.
+		m2 := gnn.NewModel(gnn.DefaultConfig(), 5)
+		ropt := base
+		ropt.CheckpointPath = path
+		ropt.Resume = true
+		resLoss, err := Train(m2, []*Sample{s}, ropt)
 		if err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
+			t.Fatalf("resume after %d: %v", cut, err)
 		}
-		for _, cut := range []int{1, epochs / 2, epochs - 1} {
-			path := filepath.Join(t.TempDir(), "train.ckpt")
-			m := gnn.NewModel(gnn.DefaultConfig(), 5)
-			iopt := base
-			iopt.Epochs = cut
-			iopt.CheckpointPath = path
-			if _, err := Train(m, []*Sample{s}, iopt); err != nil {
-				t.Fatalf("%s cut %d: %v", mode.name, cut, err)
-			}
-			// Resume into a FRESH model: everything must come from the
-			// checkpoint, nothing from the interrupted process's memory.
-			m2 := gnn.NewModel(gnn.DefaultConfig(), 5)
-			ropt := base
-			ropt.CheckpointPath = path
-			ropt.Resume = true
-			resLoss, err := Train(m2, []*Sample{s}, ropt)
-			if err != nil {
-				t.Fatalf("%s resume after %d: %v", mode.name, cut, err)
-			}
-			if resLoss != cleanLoss {
-				t.Fatalf("%s resume after %d: final loss %g vs clean %g", mode.name, cut, resLoss, cleanLoss)
-			}
-			sameParams(t, clean, m2, mode.name)
+		if resLoss != cleanLoss {
+			t.Fatalf("resume after %d: final loss %g vs clean %g", cut, resLoss, cleanLoss)
 		}
+		sameParams(t, clean, m2, fmt.Sprintf("resume after %d", cut))
 	}
 }
 
@@ -84,20 +73,17 @@ func TestTrainNaNGuardRefusesPoisonedStep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, accumulate := range []bool{false, true} {
-		inj := fault.New(11)
-		inj.Arm("train.nan", healthySteps+1)
-		m := gnn.NewModel(gnn.DefaultConfig(), 5)
-		_, err := Train(m, []*Sample{s}, Options{Epochs: 50, LR: 1e-2, Seed: 1, Accumulate: accumulate, Fault: inj})
-		var ne *guard.NumericError
-		if !errors.As(err, &ne) {
-			t.Fatalf("accumulate=%v: got %v, want *guard.NumericError", accumulate, err)
-		}
-		// One sample per epoch step in both modes, so after 4 healthy
-		// steps the poisoned 5th must leave params at the clean 4-step
-		// state.
-		sameParams(t, clean, m, "refused step")
+	inj := fault.New(11)
+	inj.Arm("train.nan", healthySteps+1)
+	m := gnn.NewModel(gnn.DefaultConfig(), 5)
+	_, err := Train(m, []*Sample{s}, Options{Epochs: 50, LR: 1e-2, Seed: 1, Fault: inj})
+	var ne *guard.NumericError
+	if !errors.As(err, &ne) {
+		t.Fatalf("got %v, want *guard.NumericError", err)
 	}
+	// One sample, so one step per epoch: after 4 healthy steps the
+	// poisoned 5th must leave params at the clean 4-step state.
+	sameParams(t, clean, m, "refused step")
 }
 
 // TestTrainBudgetStopsAtEpochBoundary: an already-expired wall budget runs

@@ -65,9 +65,9 @@ go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 # Workspace determinism gates: pooled vs allocating evaluation must be
 # byte-identical (down to final Steiner coordinates) at any worker
 # count, and must replay the metrics recorded in BENCH_refine.json.
-# BatchReplay covers the batched paths: the fused multi-candidate
-# forward (refiner lanes, batched accumulation) against the sequential
-# reference, bench- and pipeline-level.
+# BatchReplay covers the batched path: the fused multi-candidate
+# refiner forward against the sequential reference, bench- and
+# pipeline-level.
 go test -run 'Workspace|BenchReplay|BatchReplay' ./...
 
 # Allocation-regression gate: re-measure the refine loop and fail if
@@ -140,6 +140,7 @@ go test -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 10s -fuzzminimizetime=5x ./
 go test -run '^$' -fuzz FuzzLoadDesign -fuzztime 10s -fuzzminimizetime=5x ./internal/designio/
 go test -run '^$' -fuzz FuzzStreamDesign -fuzztime 10s -fuzzminimizetime=5x ./internal/designio/
 go test -run '^$' -fuzz FuzzLoadModel -fuzztime 10s -fuzzminimizetime=5x ./internal/gnn/
+go test -run '^$' -fuzz FuzzJobRequest -fuzztime 10s -fuzzminimizetime=5x ./internal/serve/
 
 # Refresh the per-package coverage baseline.
 {
