@@ -37,6 +37,11 @@ type Grid struct {
 	// Aggregated per-direction capacities.
 	capDir [2]int
 
+	// costTab[d][u] is edgeCost(u, capDir[d]) for 0 ≤ u ≤ 4·capDir[d]:
+	// the edge cost is a pure function of usage, so the router reads
+	// it from this table instead of calling exp on every lookup.
+	costTab [2][]float64
+
 	// 2D edge usage. useH[y*(W-1)+x] is the edge (x,y)→(x+1,y);
 	// useV[y*W+x] is the edge (x,y)→(x,y+1).
 	useH, useV []int32
@@ -88,6 +93,13 @@ func New(die geom.BBox, gcellSize int, layerCaps []int) (*Grid, error) {
 	}
 	if g.capDir[Horiz] == 0 || g.capDir[Vert] == 0 {
 		return nil, fmt.Errorf("grid: a direction has zero total capacity")
+	}
+	for d, c := range g.capDir {
+		tab := make([]float64, 4*c+1)
+		for u := range tab {
+			tab[u] = edgeCost(u, c)
+		}
+		g.costTab[d] = tab
 	}
 	g.useH = make([]int32, (w-1)*h)
 	g.useV = make([]int32, w*(h-1))
@@ -180,10 +192,19 @@ func (g *Grid) AddV(x, y int, delta int) {
 // with the current usage: a unit base plus a smooth congestion penalty
 // that grows exponentially once demand approaches capacity. Used as the
 // A* edge weight.
-func (g *Grid) CostH(x, y int) float64 { return edgeCost(g.UsageH(x, y), g.capDir[Horiz]) }
+func (g *Grid) CostH(x, y int) float64 { return g.cost(Horiz, g.UsageH(x, y)) }
 
 // CostV returns the routing cost of crossing vertical edge (x,y)→(x,y+1).
-func (g *Grid) CostV(x, y int) float64 { return edgeCost(g.UsageV(x, y), g.capDir[Vert]) }
+func (g *Grid) CostV(x, y int) float64 { return g.cost(Vert, g.UsageV(x, y)) }
+
+// cost is edgeCost(usage, capDir[d]), read from the table when usage is
+// in its range [0, 4·cap] and computed outside it.
+func (g *Grid) cost(d Dir, usage int) float64 {
+	if tab := g.costTab[d]; uint(usage) < uint(len(tab)) {
+		return tab[usage]
+	}
+	return edgeCost(usage, g.capDir[d])
+}
 
 func edgeCost(usage, cap int) float64 {
 	r := float64(usage+1) / float64(cap)

@@ -214,3 +214,45 @@ func TestAssignLayerBalances(t *testing.T) {
 		t.Fatalf("out-of-range assignment returned %d", l)
 	}
 }
+
+// TestPropCostTableMatchesEdgeCost: CostH/CostV read edgeCost from the
+// per-direction table inside [0, 4·cap] and compute it outside; either
+// way the bits must equal edgeCost's. Usage sweeps [-1, 4·cap+3] so the
+// table's first and last entries and the fallback on both sides are hit,
+// with unequal capacities so a direction mix-up shows.
+func TestPropCostTableMatchesEdgeCost(t *testing.T) {
+	g, err := New(geom.BBox{XLo: 0, YLo: 0, XHi: 80, YHi: 40}, 8, []int{0, 3, 5, 6, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.CapDir(Horiz) == g.CapDir(Vert) {
+		t.Fatal("fixture needs distinct per-direction capacities")
+	}
+	for _, d := range []Dir{Horiz, Vert} {
+		c := g.CapDir(d)
+		for u := -1; u <= 4*c+3; u++ {
+			var got int
+			var cost float64
+			if d == Horiz {
+				g.AddH(2, 1, u-g.UsageH(2, 1))
+				got, cost = g.UsageH(2, 1), g.CostH(2, 1)
+			} else {
+				g.AddV(2, 1, u-g.UsageV(2, 1))
+				got, cost = g.UsageV(2, 1), g.CostV(2, 1)
+			}
+			if got != u {
+				t.Fatalf("dir %d: usage %d, want %d", d, got, u)
+			}
+			if want := edgeCost(u, c); math.Float64bits(cost) != math.Float64bits(want) {
+				t.Fatalf("dir %d usage %d: cost %v, edgeCost %v", d, u, cost, want)
+			}
+		}
+	}
+	// Off-grid edges read usage 0.
+	if got, want := g.CostH(-1, 0), edgeCost(0, g.CapDir(Horiz)); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("off-grid CostH %v, want %v", got, want)
+	}
+	if got, want := g.CostV(0, g.H-1), edgeCost(0, g.CapDir(Vert)); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("off-grid CostV %v, want %v", got, want)
+	}
+}

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math/rand"
 	"testing"
 
 	"tsteiner/internal/grid"
@@ -33,6 +34,7 @@ func benchFixture(b *testing.B) (*netlist.Design, *rsmt.Forest) {
 
 func BenchmarkGlobalRoute(b *testing.B) {
 	d, f := benchFixture(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g, err := grid.New(d.Die, 8, []int{0, 12, 12, 10, 10})
@@ -78,6 +80,7 @@ func BenchmarkIncrementalReroute(b *testing.B) {
 	if err := newF.SetSteinerPositions(xs, ys, idx, d.Die); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, _, err := Incremental(d, f, newF, g, prev, DefaultOptions())
@@ -89,6 +92,34 @@ func BenchmarkIncrementalReroute(b *testing.B) {
 		_, _, err = Incremental(d, newF, f, g, res, DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMazeRoute times one router's A* searches on the congested
+// fixture grid: 64 seeded queries per op, reusing the router's scratch
+// as rip-up-and-reroute does. The grid is not modified, so every op
+// runs the same searches.
+func BenchmarkMazeRoute(b *testing.B) {
+	g := congestedGrid(b, 7)
+	rng := rand.New(rand.NewSource(1))
+	type query struct{ a, b GP }
+	qs := make([]query, 64)
+	for i := range qs {
+		a := GP{rng.Intn(g.W), rng.Intn(g.H)}
+		qs[i] = query{a, GP{
+			min(max(a.X+rng.Intn(25)-12, 0), g.W-1),
+			min(max(a.Y+rng.Intn(25)-12, 0), g.H-1),
+		}}
+	}
+	r := &router{g: g, opt: DefaultOptions()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			if r.mazeRoute(q.a, q.b) == nil {
+				b.Fatalf("no path %v→%v", q.a, q.b)
+			}
 		}
 	}
 }

@@ -74,13 +74,13 @@ func (m *demandMap) addLPath(a, b GP, horizFirst bool, w float64) {
 
 func (m *demandMap) addStraight(a, b GP, w float64) {
 	if a.Y == b.Y {
-		lo, hi := min(a.X, b.X), maxi(a.X, b.X)
+		lo, hi := min(a.X, b.X), max(a.X, b.X)
 		for x := lo; x < hi; x++ {
 			m.addH(x, a.Y, w)
 		}
 		return
 	}
-	lo, hi := min(a.Y, b.Y), maxi(a.Y, b.Y)
+	lo, hi := min(a.Y, b.Y), max(a.Y, b.Y)
 	for y := lo; y < hi; y++ {
 		m.addV(a.X, y, w)
 	}
@@ -106,14 +106,14 @@ func (m *demandMap) straightCost(a, b GP) float64 {
 	var sum float64
 	if a.Y == b.Y {
 		capH := float64(m.g.CapDir(grid.Horiz))
-		lo, hi := min(a.X, b.X), maxi(a.X, b.X)
+		lo, hi := min(a.X, b.X), max(a.X, b.X)
 		for x := lo; x < hi; x++ {
 			sum += demandCost(m.demandH(x, a.Y), capH)
 		}
 		return sum
 	}
 	capV := float64(m.g.CapDir(grid.Vert))
-	lo, hi := min(a.Y, b.Y), maxi(a.Y, b.Y)
+	lo, hi := min(a.Y, b.Y), max(a.Y, b.Y)
 	for y := lo; y < hi; y++ {
 		sum += demandCost(m.demandV(a.X, y), capV)
 	}

@@ -5,6 +5,14 @@ package route
 // congestion costs. Always succeeds; used both for initial routing and as
 // the fallback when maze search is window-limited.
 
+// pattern is a candidate route given by its waypoints: the two endpoints
+// and up to two bends, joined by straight unit-step runs. Candidates are
+// scored from the waypoints; only the winner is built into a cell path.
+type pattern struct {
+	pts [4]GP
+	n   int
+}
+
 // patternRoute returns the cheapest L/Z path from a to b under current
 // grid costs.
 func (r *router) patternRoute(a, b GP) []GP {
@@ -12,102 +20,106 @@ func (r *router) patternRoute(a, b GP) []GP {
 		return []GP{a}
 	}
 	if a.X == b.X || a.Y == b.Y {
-		return straight(a, b)
+		return pattern{pts: [4]GP{a, b}, n: 2}.path()
 	}
 	if r.opt.StaticPatterns {
-		return staticLPath(a, b)
+		return staticLPattern(a, b).path()
 	}
-	best := lPath(a, b, true) // horizontal first
-	bestCost := r.pathCost(best)
-	if alt := lPath(a, b, false); true {
-		if c := r.pathCost(alt); c < bestCost {
-			best, bestCost = alt, c
-		}
+	best := lPattern(a, b, true) // horizontal first
+	bestCost := r.patternCost(best)
+	alt := lPattern(a, b, false)
+	if c := r.patternCost(alt); c < bestCost {
+		best, bestCost = alt, c
 	}
 	// Z patterns: intermediate column (HVH) or row (VHV).
 	k := r.opt.ZCandidates
 	for i := 1; i <= k; i++ {
 		if xm := a.X + (b.X-a.X)*i/(k+1); xm != a.X && xm != b.X {
-			if p := zPathHVH(a, b, xm); p != nil {
-				if c := r.pathCost(p); c < bestCost {
-					best, bestCost = p, c
-				}
+			p := pattern{pts: [4]GP{a, {xm, a.Y}, {xm, b.Y}, b}, n: 4} // a→(xm,a.Y)→(xm,b.Y)→b
+			if c := r.patternCost(p); c < bestCost {
+				best, bestCost = p, c
 			}
 		}
 		if ym := a.Y + (b.Y-a.Y)*i/(k+1); ym != a.Y && ym != b.Y {
-			if p := zPathVHV(a, b, ym); p != nil {
-				if c := r.pathCost(p); c < bestCost {
-					best, bestCost = p, c
-				}
+			p := pattern{pts: [4]GP{a, {a.X, ym}, {b.X, ym}, b}, n: 4} // a→(a.X,ym)→(b.X,ym)→b
+			if c := r.patternCost(p); c < bestCost {
+				best, bestCost = p, c
 			}
 		}
 	}
-	return best
+	return best.path()
 }
 
-// staticLPath is the congestion-blind pattern choice of StaticPatterns
+// staticLPattern is the congestion-blind pattern choice of StaticPatterns
 // mode: an L whose corner side is picked by the parity of the endpoint
 // coordinate sum. A pure function of (a, b) — no grid state is read —
 // while the parity split still statistically spreads elbows instead of
 // stacking every bend on one side.
-func staticLPath(a, b GP) []GP {
-	return lPath(a, b, (a.X+a.Y+b.X+b.Y)&1 == 0)
+func staticLPattern(a, b GP) pattern {
+	return lPattern(a, b, (a.X+a.Y+b.X+b.Y)&1 == 0)
 }
 
-// straight returns the unit-step path along a shared row or column.
-func straight(a, b GP) []GP {
-	path := []GP{a}
-	cur := a
-	for cur != b {
-		cur = stepToward(cur, b)
-		path = append(path, cur)
-	}
-	return path
-}
-
-func stepToward(cur, goal GP) GP {
-	switch {
-	case cur.X < goal.X:
-		cur.X++
-	case cur.X > goal.X:
-		cur.X--
-	case cur.Y < goal.Y:
-		cur.Y++
-	case cur.Y > goal.Y:
-		cur.Y--
-	}
-	return cur
-}
-
-// lPath routes via corner (b.X, a.Y) when horizFirst, else (a.X, b.Y).
-func lPath(a, b GP, horizFirst bool) []GP {
-	var corner GP
+// lPattern routes via corner (b.X, a.Y) when horizFirst, else (a.X, b.Y).
+func lPattern(a, b GP, horizFirst bool) pattern {
+	corner := GP{a.X, b.Y}
 	if horizFirst {
 		corner = GP{b.X, a.Y}
-	} else {
-		corner = GP{a.X, b.Y}
 	}
-	path := straight(a, corner)
-	rest := straight(corner, b)
-	return append(path, rest[1:]...)
+	return pattern{pts: [4]GP{a, corner, b}, n: 3}
 }
 
-// zPathHVH routes a→(xm,a.Y)→(xm,b.Y)→b.
-func zPathHVH(a, b GP, xm int) []GP {
-	p1 := GP{xm, a.Y}
-	p2 := GP{xm, b.Y}
-	path := straight(a, p1)
-	path = append(path, straight(p1, p2)[1:]...)
-	path = append(path, straight(p2, b)[1:]...)
-	return path
+// patternCost sums the current congestion costs of the pattern's steps
+// in path order, so it equals pathCost of the built path bit for bit.
+func (r *router) patternCost(p pattern) float64 {
+	var sum float64
+	for i := 0; i+1 < p.n; i++ {
+		a, b := p.pts[i], p.pts[i+1]
+		switch {
+		case b.X > a.X:
+			for x := a.X; x < b.X; x++ {
+				sum += r.g.CostH(x, a.Y)
+			}
+		case b.X < a.X:
+			for x := a.X; x > b.X; x-- {
+				sum += r.g.CostH(x-1, a.Y)
+			}
+		case b.Y > a.Y:
+			for y := a.Y; y < b.Y; y++ {
+				sum += r.g.CostV(a.X, y)
+			}
+		case b.Y < a.Y:
+			for y := a.Y; y > b.Y; y-- {
+				sum += r.g.CostV(a.X, y-1)
+			}
+		}
+	}
+	return sum
 }
 
-// zPathVHV routes a→(a.X,ym)→(b.X,ym)→b.
-func zPathVHV(a, b GP, ym int) []GP {
-	p1 := GP{a.X, ym}
-	p2 := GP{b.X, ym}
-	path := straight(a, p1)
-	path = append(path, straight(p1, p2)[1:]...)
-	path = append(path, straight(p2, b)[1:]...)
+// path builds the pattern's unit-step cell path in one exact-length
+// slice.
+func (p pattern) path() []GP {
+	n := 1
+	for i := 0; i+1 < p.n; i++ {
+		n += absInt(p.pts[i+1].X-p.pts[i].X) + absInt(p.pts[i+1].Y-p.pts[i].Y)
+	}
+	path := make([]GP, 1, n)
+	path[0] = p.pts[0]
+	for i := 0; i+1 < p.n; i++ {
+		cur, end := p.pts[i], p.pts[i+1]
+		for cur != end {
+			switch {
+			case cur.X < end.X:
+				cur.X++
+			case cur.X > end.X:
+				cur.X--
+			case cur.Y < end.Y:
+				cur.Y++
+			default:
+				cur.Y--
+			}
+			path = append(path, cur)
+		}
+	}
 	return path
 }

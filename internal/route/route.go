@@ -182,9 +182,10 @@ func Route(d *netlist.Design, f *rsmt.Forest, g *grid.Grid, opt Options) (*Resul
 }
 
 type router struct {
-	d   *netlist.Design
-	g   *grid.Grid
-	opt Options
+	d    *netlist.Design
+	g    *grid.Grid
+	opt  Options
+	maze mazeScratch // reused by every mazeRoute call of this router
 }
 
 func (r *router) gcellOfNode(tr *rsmt.Tree, idx int) GP {
@@ -208,22 +209,6 @@ func (r *router) commit(path []GP, delta int) {
 			r.g.AddV(a.X, b.Y, delta)
 		}
 	}
-}
-
-// pathCost sums current congestion costs along a candidate path.
-func (r *router) pathCost(path []GP) float64 {
-	var sum float64
-	for i := 0; i+1 < len(path); i++ {
-		a, b := path[i], path[i+1]
-		if a.Y == b.Y {
-			x := min(a.X, b.X)
-			sum += r.g.CostH(x, a.Y)
-		} else {
-			y := min(a.Y, b.Y)
-			sum += r.g.CostV(a.X, y)
-		}
-	}
-	return sum
 }
 
 type victim struct {
@@ -306,13 +291,6 @@ func (r *router) assignLayers(er *EdgeRoute) {
 		prev = l
 	}
 	er.Vias = vias
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // geomPathDBU converts a GCell path to DBU points (cell centers), used by

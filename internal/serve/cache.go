@@ -125,8 +125,8 @@ func (c *ModelCache) Get(family string, build func() (*gnn.Model, error)) (*gnn.
 			err = fmt.Errorf("serve: persist model %s: %w", family, serr)
 		}
 	}
-	fl.m, fl.err = m, err
 	if err != nil {
+		fl.err = err
 		c.mu.Lock()
 		if cur, ok := c.flights[family]; ok && cur == fl {
 			delete(c.flights, family)
@@ -135,6 +135,9 @@ func (c *ModelCache) Get(family string, build func() (*gnn.Model, error)) (*gnn.
 		close(fl.done)
 		return nil, err
 	}
+	// Cache a detached clone: m's parameters still point at the training
+	// tape, which would pin its workspace buffers for the process's life.
+	fl.m = m.Clone()
 	close(fl.done)
 	return m.Clone(), nil
 }

@@ -39,6 +39,11 @@ go test -race -run 'ObsServer|ConcurrentScrapes' ./internal/obs ./internal/exp
 # Property-based tests + brute-force differential oracles.
 go test -run 'Prop|Oracle' ./...
 
+# Router benchmark smoke: one iteration each of the allocation-reporting
+# global-route and maze-search benchmarks, so they keep compiling and
+# running.
+go test -run '^$' -bench 'GlobalRoute|MazeRoute' -benchtime 1x ./internal/route
+
 # Multi-corner sign-off gates: the per-corner fixpoint oracle on all ten
 # benchmarks, typical-corner bitwise identity, the matrix-penalty
 # refiner (hold guard, fault matrix), and the corner property tests —
