@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -416,5 +417,83 @@ func TestModelSeedsDiffer(t *testing.T) {
 	c := NewModel(Config{}, 3)
 	if c.Cfg.Hidden != DefaultConfig().Hidden {
 		t.Fatal("bad config not defaulted")
+	}
+}
+
+// TestConstGeometryMatchesLeafForward: the network on a sample's
+// constant geometry must give training the bits Forward gives on
+// coordinate leaves — the same predictions and the same parameter
+// gradients — and, with constant parameters, record nothing to run.
+func TestConstGeometryMatchesLeafForward(t *testing.T) {
+	p := prepared(t, "spm", 1.0)
+	b, err := NewBatch(p.Design, p.Forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewModel(DefaultConfig(), 7)
+	grads := func(pred *Prediction, tp *tensor.Tape) ([]float64, [][]float64) {
+		t.Helper()
+		loss, err := tp.Sum(pred.Arrival)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range m.Params() {
+			q.ZeroGrad()
+		}
+		if err := tp.Backward(loss); err != nil {
+			t.Fatal(err)
+		}
+		var gs [][]float64
+		for _, q := range m.Params() {
+			gs = append(gs, append([]float64(nil), q.Grad...))
+		}
+		return append([]float64(nil), pred.Arrival.Data...), gs
+	}
+
+	tp := tensor.NewTape()
+	xs, ys, err := b.SteinerLeaves(tp, p.Forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafPred, err := m.Forward(tp, b, xs, ys, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantArr, wantGrads := grads(leafPred, tp)
+
+	g, err := m.ConstGeometry(b, p.Forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := tensor.NewWorkspace()
+	for rep := 0; rep < 2; rep++ { // the second pass reuses pooled buffers
+		ctp := ws.Tape()
+		constPred, err := m.ForwardGeometry(ctp, b, g, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotArr, gotGrads := grads(constPred, ctp)
+		for i := range wantArr {
+			if math.Float64bits(gotArr[i]) != math.Float64bits(wantArr[i]) {
+				t.Fatalf("pass %d: arrival %d = %v, leaf forward %v", rep, i, gotArr[i], wantArr[i])
+			}
+		}
+		for pi := range wantGrads {
+			for j := range wantGrads[pi] {
+				if math.Float64bits(gotGrads[pi][j]) != math.Float64bits(wantGrads[pi][j]) {
+					t.Fatalf("pass %d: param %d grad %d = %v, leaf forward %v", rep, pi, j, gotGrads[pi][j], wantGrads[pi][j])
+				}
+			}
+		}
+	}
+
+	// Constant geometry and constant parameters: nothing requires a
+	// gradient, so no op has a backward step to record.
+	pred, err := m.ForwardGeometry(tensor.NewTape(), b, g, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred.Arrival.RequiresGrad() || pred.Slack.RequiresGrad() {
+		t.Fatal("constant geometry with constant parameters produced a differentiable prediction")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"tsteiner/internal/guard"
+	"tsteiner/internal/rsmt"
 	"tsteiner/internal/tensor"
 )
 
@@ -178,18 +179,78 @@ type Prediction struct {
 	Slack *tensor.Tensor
 }
 
+// Geometry is the parameter-free half of a forward pass: every tensor the
+// network reads that depends only on the Steiner coordinates and the
+// batch's constant tables. Forward records it on the tape from coordinate
+// leaves, so position gradients flow through it; training computes it
+// once per sample from constant coordinates (ConstGeometry) and feeds the
+// same tensors to every step, which then records and back-propagates only
+// the parameter-dependent network.
+type Geometry struct {
+	// NodeIn is the node encoder input [NNodes×6]: normalized x, y and
+	// the four constant node features.
+	NodeIn *tensor.Tensor
+	// EdgeLen is the normalized length of each tree edge [nEdges×1], the
+	// broadcast message's geometric input.
+	EdgeLen *tensor.Tensor
+	// SinkReduce is [nSinks×2]: normalized Elmore delay and path length,
+	// the reduce message's geometric input.
+	SinkReduce *tensor.Tensor
+	// SinkWire is [nSinks×4]: normalized Elmore delay, path length,
+	// direct driver distance and net load, the wire head's geometric
+	// input.
+	SinkWire *tensor.Tensor
+	// Elmore is the per-sink Elmore delay and PathSmall the per-sink path
+	// length scaled by 1e-4: the wire anchor's inputs.
+	Elmore, PathSmall *tensor.Tensor
+	// QIn is the launch head's input [nQ×3] and QBase its anchor's
+	// first-order delay d0 + slope·load (both nil without registers).
+	QIn, QBase *tensor.Tensor
+	// Levels holds the cell head's inputs per netlist level.
+	Levels []LevelGeometry
+}
+
+// LevelGeometry is one netlist level's cell-arc geometry: the cell head's
+// input [nArcs×3] and its anchor's first-order delay d0 + slope·load
+// (both nil for a level without arcs).
+type LevelGeometry struct {
+	ArcIn, ArcBase *tensor.Tensor
+}
+
 // Forward runs the two-stage evaluation. xs/ys are the Steiner coordinate
 // tensors (leaves when gradients are wanted, constants otherwise);
 // trainParams controls whether model parameters join the tape as leaves.
 func (m *Model) Forward(tp *tensor.Tape, b *Batch, xs, ys *tensor.Tensor, trainParams bool) (*Prediction, error) {
-	attach := tp.Constant
-	if trainParams {
-		attach = tp.Leaf
+	g, err := m.geometry(tp, b, xs, ys)
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range m.Params() {
-		attach(p)
-	}
+	return m.ForwardGeometry(tp, b, g, trainParams)
+}
 
+// ConstGeometry computes a forest's geometry from constant coordinates on
+// a private allocating tape. The result holds no workspace storage and
+// records nothing, so it can be kept across tape and workspace resets and
+// fed to ForwardGeometry on any tape: ops read their inputs and never
+// write or differentiate a constant.
+func (m *Model) ConstGeometry(b *Batch, f *rsmt.Forest) (*Geometry, error) {
+	xs := make([]float64, b.NSteiner)
+	ys := make([]float64, b.NSteiner)
+	if err := b.FillSteinerCoords(f, xs, ys); err != nil {
+		return nil, err
+	}
+	tp := tensor.NewTape()
+	xt, _ := tp.Alias(len(xs), 1, xs)
+	yt, _ := tp.Alias(len(ys), 1, ys)
+	return m.geometry(tp, b, xt, yt)
+}
+
+// geometry records the parameter-free half of Forward on tp: edge
+// lengths, Elmore and path sums, net loads, and the geometric feature
+// columns of every head. With coordinate leaves the ops are recorded so
+// gradients reach the coordinates; the recording order keeps every
+// tensor's consumers in the order the gradient sums were always taken.
+func (m *Model) geometry(tp *tensor.Tape, b *Batch, xs, ys *tensor.Tensor) (*Geometry, error) {
 	// ---- coordinates & edge lengths ----
 	// Batch constants join the tape as aliases: the backing slices are
 	// immutable for the batch's lifetime and ops never write inputs.
@@ -279,7 +340,6 @@ func (m *Model) Forward(tp *tensor.Tape, b *Batch, xs, ys *tensor.Tensor, trainP
 	// awareness would use (paper reference [13] class). Combined with
 	// MPIters=0 the model becomes fully Steiner-blind.
 	if m.Cfg.NoSteinerFeatures {
-		nSinks := len(b.SinkSinkPin)
 		elmS = tp.Zeros(nSinks, 1)
 		pathS = tp.Zeros(nSinks, 1)
 		hp, err := tp.Alias(len(b.NetHPWL), 1, b.NetHPWL)
@@ -297,14 +357,112 @@ func (m *Model) Forward(tp *tensor.Tape, b *Batch, xs, ys *tensor.Tensor, trainP
 		}
 	}
 
-	// ---- Steiner-graph message passing ----
-	h, err := m.steinerMP(tp, b, nodeX, nodeY, lenE, elmS, pathS)
+	g := &Geometry{Elmore: elmS}
+
+	// ---- Steiner-graph inputs ----
+	xn, err := tp.Scale(nodeX, b.LenScale)
 	if err != nil {
 		return nil, err
 	}
+	yn, _ := tp.Scale(nodeY, b.LenScale)
+	feats, _ := tp.Alias(b.NNodes, 4, b.NodeFeats)
+	if g.NodeIn, err = tp.ConcatCols(xn, yn, feats); err != nil {
+		return nil, err
+	}
+	if g.EdgeLen, err = tp.Scale(lenE, b.LenScale); err != nil {
+		return nil, err
+	}
+	elmSn, _ := tp.Scale(elmS, b.ElmScale)
+	pathSn, _ := tp.Scale(pathS, b.LenScale)
+	if g.SinkReduce, err = tp.ConcatCols(elmSn, pathSn); err != nil {
+		return nil, err
+	}
 
-	// ---- netlist propagation ----
-	return m.propagate(tp, b, h, elmS, pathS, netCap)
+	// ---- netlist-propagation inputs ----
+	// Register launches: arc consts plus the driven net's load.
+	if len(b.QPins) > 0 {
+		qf, err := tp.Alias(len(b.QPins), 2, b.QFeats)
+		if err != nil {
+			return nil, err
+		}
+		qcap, err := tp.GatherRows(netCap, b.QNet)
+		if err != nil {
+			return nil, err
+		}
+		qcapn, _ := tp.Scale(qcap, 20) // pF → O(1)
+		if g.QIn, err = tp.ConcatCols(qf, qcapn); err != nil {
+			return nil, err
+		}
+		// Anchor: CK→Q ≈ d0 + slope·load.
+		if g.QBase, err = anchorBase(tp, b.QD0, b.QSlope, qcap); err != nil {
+			return nil, err
+		}
+	}
+
+	elmSn2, _ := tp.Scale(elmS, b.ElmScale)
+	pathSn2, _ := tp.Scale(pathS, b.LenScale)
+	distS, _ := tp.Alias(len(b.SinkDistDirect), 1, b.SinkDistDirect)
+	distSn, _ := tp.Scale(distS, b.LenScale)
+	capS, err := tp.GatherRows(netCap, b.SinkNet)
+	if err != nil {
+		return nil, err
+	}
+	capSn, _ := tp.Scale(capS, 20)
+	if g.SinkWire, err = tp.ConcatCols(elmSn2, pathSn2, distSn, capSn); err != nil {
+		return nil, err
+	}
+	if g.PathSmall, err = tp.Scale(pathS, 1e-4); err != nil {
+		return nil, err
+	}
+
+	g.Levels = make([]LevelGeometry, len(b.Levels))
+	for li := range b.Levels {
+		L := &b.Levels[li]
+		if len(L.ArcIn) == 0 {
+			continue
+		}
+		af, err := tp.Alias(len(L.ArcIn), 2, L.ArcFeats)
+		if err != nil {
+			return nil, err
+		}
+		// Load of the driven net (0 for unconnected outputs);
+		// mask/index arrays are precomputed by finalizeDerived.
+		mask, _ := tp.Alias(len(L.ArcLoadMask), 1, L.ArcLoadMask)
+		capArc, err := tp.GatherRows(netCap, L.ArcNetIdx)
+		if err != nil {
+			return nil, err
+		}
+		capMasked, err := tp.Mul(capArc, mask)
+		if err != nil {
+			return nil, err
+		}
+		capN, _ := tp.Scale(capMasked, 20)
+		lg := &g.Levels[li]
+		if lg.ArcIn, err = tp.ConcatCols(af, capN); err != nil {
+			return nil, err
+		}
+		if lg.ArcBase, err = anchorBase(tp, L.ArcD0, L.ArcSlope, capMasked); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// ForwardGeometry runs the parameter-dependent network on a geometry:
+// Steiner-graph message passing, then netlist propagation.
+func (m *Model) ForwardGeometry(tp *tensor.Tape, b *Batch, g *Geometry, trainParams bool) (*Prediction, error) {
+	attach := tp.Constant
+	if trainParams {
+		attach = tp.Leaf
+	}
+	for _, p := range m.Params() {
+		attach(p)
+	}
+	h, err := m.steinerMP(tp, b, g)
+	if err != nil {
+		return nil, err
+	}
+	return m.propagate(tp, b, g, h)
 }
 
 // edgeLengths computes |Δx|+|Δy| per oriented tree edge.
@@ -341,18 +499,8 @@ func gatherSegSum(tp *tensor.Tape, src *tensor.Tensor, idx, dst []int32, nOut in
 // steinerMP runs MPIters rounds of broadcast (tree edges, parent→child)
 // and reduce (net edges, sink→driver), the paper's bidirectional net
 // propagation on the Steiner graph.
-func (m *Model) steinerMP(tp *tensor.Tape, b *Batch, nodeX, nodeY, lenE, elmS, pathS *tensor.Tensor) (*tensor.Tensor, error) {
-	xn, err := tp.Scale(nodeX, b.LenScale)
-	if err != nil {
-		return nil, err
-	}
-	yn, _ := tp.Scale(nodeY, b.LenScale)
-	feats, _ := tp.Alias(b.NNodes, 4, b.NodeFeats)
-	f0, err := tp.ConcatCols(xn, yn, feats)
-	if err != nil {
-		return nil, err
-	}
-	lin, err := tp.Linear(f0, m.WNode, m.BNode)
+func (m *Model) steinerMP(tp *tensor.Tape, b *Batch, g *Geometry) (*tensor.Tensor, error) {
+	lin, err := tp.Linear(g.NodeIn, m.WNode, m.BNode)
 	if err != nil {
 		return nil, err
 	}
@@ -361,13 +509,6 @@ func (m *Model) steinerMP(tp *tensor.Tape, b *Batch, nodeX, nodeY, lenE, elmS, p
 		return nil, err
 	}
 
-	lenEn, err := tp.Scale(lenE, b.LenScale)
-	if err != nil {
-		return nil, err
-	}
-	elmSn, _ := tp.Scale(elmS, b.ElmScale)
-	pathSn, _ := tp.Scale(pathS, b.LenScale)
-
 	for it := 0; it < m.Cfg.MPIters; it++ {
 		// Broadcast: message along each tree edge to its child node.
 		hp, err := tp.GatherRows(h, b.EdgePar)
@@ -375,7 +516,7 @@ func (m *Model) steinerMP(tp *tensor.Tape, b *Batch, nodeX, nodeY, lenE, elmS, p
 			return nil, err
 		}
 		hc, _ := tp.GatherRows(h, b.EdgeChild)
-		bin, err := tp.ConcatCols(hp, hc, lenEn)
+		bin, err := tp.ConcatCols(hp, hc, g.EdgeLen)
 		if err != nil {
 			return nil, err
 		}
@@ -387,11 +528,7 @@ func (m *Model) steinerMP(tp *tensor.Tape, b *Batch, nodeX, nodeY, lenE, elmS, p
 		if err != nil {
 			return nil, err
 		}
-		upd, err := tp.SegmentSum(bmsg, b.EdgeChild, b.NNodes)
-		if err != nil {
-			return nil, err
-		}
-		h, err = tp.Add(h, upd)
+		h, err = tp.ScatterAdd(h, bmsg, b.EdgeChild)
 		if err != nil {
 			return nil, err
 		}
@@ -402,7 +539,7 @@ func (m *Model) steinerMP(tp *tensor.Tape, b *Batch, nodeX, nodeY, lenE, elmS, p
 			return nil, err
 		}
 		hd, _ := tp.GatherRows(h, b.SinkDrvNode)
-		rin, err := tp.ConcatCols(hs, hd, elmSn, pathSn)
+		rin, err := tp.ConcatCols(hs, hd, g.SinkReduce)
 		if err != nil {
 			return nil, err
 		}
@@ -428,42 +565,17 @@ func (m *Model) steinerMP(tp *tensor.Tape, b *Batch, nodeX, nodeY, lenE, elmS, p
 
 // propagate walks netlist levels, predicting wire deltas for net sinks and
 // cell deltas (with a smooth max over fanin) for cell outputs.
-func (m *Model) propagate(tp *tensor.Tape, b *Batch, h, elmS, pathS, netCap *tensor.Tensor) (*Prediction, error) {
+func (m *Model) propagate(tp *tensor.Tape, b *Batch, g *Geometry, h *tensor.Tensor) (*Prediction, error) {
 	arr := tp.Zeros(b.NPins, 1)
 
 	// Register launches: arrival at Q = f(arc consts, net load).
 	if len(b.QPins) > 0 {
-		qf, err := tp.Alias(len(b.QPins), 2, b.QFeats)
-		if err != nil {
-			return nil, err
-		}
-		qcap, err := tp.GatherRows(netCap, b.QNet)
-		if err != nil {
-			return nil, err
-		}
-		qcapn, _ := tp.Scale(qcap, 20) // pF → O(1)
-		qin, err := tp.ConcatCols(qf, qcapn)
-		if err != nil {
-			return nil, err
-		}
-		ql1, err := tp.Linear(qin, m.WQ1, m.BQ1)
-		if err != nil {
-			return nil, err
-		}
-		qa, err := tp.Tanh(ql1)
-		if err != nil {
-			return nil, err
-		}
-		ql2, err := tp.Linear(qa, m.WQ2, m.BQ2)
-		if err != nil {
-			return nil, err
-		}
-		qres, err := tp.Softplus(ql2)
+		qres, err := m.deltaHead(tp, g.QIn, m.WQ1, m.BQ1, m.WQ2, m.BQ2)
 		if err != nil {
 			return nil, err
 		}
 		// Anchor: CK→Q ≈ d0 + slope·load, with a learned unit-init gain.
-		qAnchor, err := m.anchoredDelay(tp, b.QD0, b.QSlope, qcap, m.PQ)
+		qAnchor, err := anchorGain(tp, g.QBase, m.PQ)
 		if err != nil {
 			return nil, err
 		}
@@ -471,73 +583,32 @@ func (m *Model) propagate(tp *tensor.Tape, b *Batch, h, elmS, pathS, netCap *ten
 		if err != nil {
 			return nil, err
 		}
-		upd, err := tp.SegmentSum(qd, b.QPins, b.NPins)
-		if err != nil {
-			return nil, err
-		}
-		arr, err = tp.Add(arr, upd)
+		arr, err = tp.ScatterAdd(arr, qd, b.QPins)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	elmSn, err := tp.Scale(elmS, b.ElmScale)
-	if err != nil {
-		return nil, err
-	}
-	pathSn, _ := tp.Scale(pathS, b.LenScale)
-	distS, _ := tp.Alias(len(b.SinkDistDirect), 1, b.SinkDistDirect)
-	distSn, _ := tp.Scale(distS, b.LenScale)
-	capS, err := tp.GatherRows(netCap, b.SinkNet)
-	if err != nil {
-		return nil, err
-	}
-	capSn, _ := tp.Scale(capS, 20)
-
-	// Precompute full per-sink wire features once; levels gather rows.
+	// Full per-sink wire deltas once; levels gather rows.
 	hSink, err := tp.GatherRows(h, b.SinkTreeNode)
 	if err != nil {
 		return nil, err
 	}
-	wireFeat, err := tp.ConcatCols(hSink, elmSn, pathSn, distSn, capSn)
+	wireFeat, err := tp.ConcatCols(hSink, g.SinkWire)
 	if err != nil {
 		return nil, err
 	}
-	wl1, err := tp.Linear(wireFeat, m.WWire1, m.BWire1)
-	if err != nil {
-		return nil, err
-	}
-	wa, err := tp.Tanh(wl1)
-	if err != nil {
-		return nil, err
-	}
-	wl2, err := tp.Linear(wa, m.WWire2, m.BWire2)
-	if err != nil {
-		return nil, err
-	}
-	wireRes, err := tp.Softplus(wl2) // [nSinks,1] ≥ 0 residual
+	wireRes, err := m.deltaHead(tp, wireFeat, m.WWire1, m.BWire1, m.WWire2, m.BWire2) // [nSinks,1] ≥ 0 residual
 	if err != nil {
 		return nil, err
 	}
 	// Physics anchor: wire delay ≈ gain_e·Elmore + gain_p·pathLen, both
 	// gains non-negative, so ∂delay/∂position carries the Elmore sign.
-	spElm, err := tp.Softplus(m.PElm)
+	elmTerm, err := anchorGain(tp, g.Elmore, m.PElm)
 	if err != nil {
 		return nil, err
 	}
-	elmTerm, err := tp.MulBroadcast(elmS, spElm)
-	if err != nil {
-		return nil, err
-	}
-	spPath, err := tp.Softplus(m.PPath)
-	if err != nil {
-		return nil, err
-	}
-	pathSmall, err := tp.Scale(pathS, 1e-4)
-	if err != nil {
-		return nil, err
-	}
-	pathTerm, err := tp.MulBroadcast(pathSmall, spPath)
+	pathTerm, err := anchorGain(tp, g.PathSmall, m.PPath)
 	if err != nil {
 		return nil, err
 	}
@@ -566,54 +637,19 @@ func (m *Model) propagate(tp *tensor.Tape, b *Batch, h, elmS, pathS, netCap *ten
 			if err != nil {
 				return nil, err
 			}
-			upd, err := tp.SegmentSum(aSnk, L.SinkSnkPin, b.NPins)
-			if err != nil {
-				return nil, err
-			}
-			arr, err = tp.Add(arr, upd)
+			arr, err = tp.ScatterAdd(arr, aSnk, L.SinkSnkPin)
 			if err != nil {
 				return nil, err
 			}
 		}
 		// Cell arcs: out arrival = smoothmax over (in arrival + delta).
 		if len(L.ArcIn) > 0 {
-			af, err := tp.Alias(len(L.ArcIn), 2, L.ArcFeats)
+			lg := &g.Levels[li]
+			cres, err := m.deltaHead(tp, lg.ArcIn, m.WCell1, m.BCell1, m.WCell2, m.BCell2)
 			if err != nil {
 				return nil, err
 			}
-			// Load of the driven net (0 for unconnected outputs);
-			// mask/index arrays are precomputed by finalizeDerived.
-			mask, _ := tp.Alias(len(L.ArcLoadMask), 1, L.ArcLoadMask)
-			capArc, err := tp.GatherRows(netCap, L.ArcNetIdx)
-			if err != nil {
-				return nil, err
-			}
-			capMasked, err := tp.Mul(capArc, mask)
-			if err != nil {
-				return nil, err
-			}
-			capN, _ := tp.Scale(capMasked, 20)
-			cin, err := tp.ConcatCols(af, capN)
-			if err != nil {
-				return nil, err
-			}
-			cl1, err := tp.Linear(cin, m.WCell1, m.BCell1)
-			if err != nil {
-				return nil, err
-			}
-			ca, err := tp.Tanh(cl1)
-			if err != nil {
-				return nil, err
-			}
-			cl2, err := tp.Linear(ca, m.WCell2, m.BCell2)
-			if err != nil {
-				return nil, err
-			}
-			cres, err := tp.Softplus(cl2)
-			if err != nil {
-				return nil, err
-			}
-			cAnchor, err := m.anchoredDelay(tp, L.ArcD0, L.ArcSlope, capMasked, m.PCell)
+			cAnchor, err := anchorGain(tp, lg.ArcBase, m.PCell)
 			if err != nil {
 				return nil, err
 			}
@@ -633,11 +669,7 @@ func (m *Model) propagate(tp *tensor.Tape, b *Batch, h, elmS, pathS, netCap *ten
 			if err != nil {
 				return nil, err
 			}
-			upd, err := tp.SegmentSum(aOut, L.OutPins, b.NPins)
-			if err != nil {
-				return nil, err
-			}
-			arr, err = tp.Add(arr, upd)
+			arr, err = tp.ScatterAdd(arr, aOut, L.OutPins)
 			if err != nil {
 				return nil, err
 			}
@@ -659,11 +691,28 @@ func (m *Model) propagate(tp *tensor.Tape, b *Batch, h, elmS, pathS, netCap *ten
 	return &Prediction{Arrival: arr, EndpointArrival: epArr, Slack: slack}, nil
 }
 
-// anchoredDelay computes softplus(gain)·(d0 + slope·load) for per-arc
-// constant columns (split once from [d0, slope] feature pairs by
-// finalizeDerived) and a differentiable load column — the first-order
-// LUT model that anchors each delay head.
-func (m *Model) anchoredDelay(tp *tensor.Tape, d0, slope []float64, load *tensor.Tensor, gain *tensor.Tensor) (*tensor.Tensor, error) {
+// deltaHead is a Linear→Tanh→Linear→Softplus delay head: a non-negative
+// residual delay per input row.
+func (m *Model) deltaHead(tp *tensor.Tape, x, w1, b1, w2, b2 *tensor.Tensor) (*tensor.Tensor, error) {
+	l1, err := tp.Linear(x, w1, b1)
+	if err != nil {
+		return nil, err
+	}
+	a, err := tp.Tanh(l1)
+	if err != nil {
+		return nil, err
+	}
+	l2, err := tp.Linear(a, w2, b2)
+	if err != nil {
+		return nil, err
+	}
+	return tp.Softplus(l2)
+}
+
+// anchorBase computes the first-order LUT delay d0 + slope·load for
+// per-arc constant columns (split once from [d0, slope] feature pairs by
+// finalizeDerived) and a differentiable load column.
+func anchorBase(tp *tensor.Tape, d0, slope []float64, load *tensor.Tensor) (*tensor.Tensor, error) {
 	n := len(d0)
 	d0t, err := tp.Alias(n, 1, d0)
 	if err != nil {
@@ -674,10 +723,12 @@ func (m *Model) anchoredDelay(tp *tensor.Tape, d0, slope []float64, load *tensor
 	if err != nil {
 		return nil, err
 	}
-	base, err := tp.Add(d0t, loadTerm)
-	if err != nil {
-		return nil, err
-	}
+	return tp.Add(d0t, loadTerm)
+}
+
+// anchorGain scales a first-order delay by softplus(gain), the learned
+// non-negative gain that anchors each delay head.
+func anchorGain(tp *tensor.Tape, base, gain *tensor.Tensor) (*tensor.Tensor, error) {
 	spGain, err := tp.Softplus(gain)
 	if err != nil {
 		return nil, err

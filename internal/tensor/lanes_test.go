@@ -116,9 +116,10 @@ func TestGradLanesPerOp(t *testing.T) {
 				}
 				return tp.Mul(y, y)
 			}},
-			{"addrowvector-shared-bias", randTensor(1, 3, 10), func(tp *Tape, x *Tensor) (*Tensor, error) {
+			{"linear-shared-bias", randTensor(1, 3, 10), func(tp *Tape, x *Tensor) (*Tensor, error) {
 				a := tp.Constant(lanedRand(K, 4, 3, 110))
-				y, err := tp.AddRowVector(a, x)
+				w := tp.Constant(randTensor(3, 3, 113))
+				y, err := tp.Linear(a, w, x)
 				if err != nil {
 					return nil, err
 				}
@@ -168,6 +169,22 @@ func TestGradLanesPerOp(t *testing.T) {
 					return nil, err
 				}
 				return tp.Mul(s, s)
+			}},
+			{"scatteradd-dense", lanedRand(K, 5, 2, 28), func(tp *Tape, x *Tensor) (*Tensor, error) {
+				v := tp.Constant(randTensor(3, 2, 128))
+				y, err := tp.ScatterAdd(x, v, []int32{4, 0, 2})
+				if err != nil {
+					return nil, err
+				}
+				return tp.Mul(y, y)
+			}},
+			{"scatteradd-rows", lanedRand(K, 3, 2, 29), func(tp *Tape, x *Tensor) (*Tensor, error) {
+				a := tp.Constant(randTensor(5, 2, 129))
+				y, err := tp.ScatterAdd(a, x, []int32{1, 4, 3})
+				if err != nil {
+					return nil, err
+				}
+				return tp.Mul(y, y)
 			}},
 			{"segmean", lanedRand(K, 6, 2, 20), func(tp *Tape, x *Tensor) (*Tensor, error) {
 				s, err := tp.SegmentMean(x, []int32{0, 0, 0, 1, 1, 2}, 3)

@@ -88,7 +88,9 @@ func (t *Tensor) GradAt(r, c int) float64 {
 	return t.Grad[r*t.Cols+c]
 }
 
-// ensureGrad allocates the gradient buffer on demand.
+// ensureGrad allocates the gradient buffer on demand, zeroed: the
+// entry point for kernels that accumulate into some elements only
+// (scatters such as the GatherRows backward).
 func (t *Tensor) ensureGrad() {
 	if t.Grad == nil {
 		if t.wsOwned && t.tape != nil && t.tape.ws != nil {
@@ -96,6 +98,56 @@ func (t *Tensor) ensureGrad() {
 			return
 		}
 		t.Grad = make([]float64, t.Len())
+	}
+}
+
+// gradRaw is ensureGrad for kernels that write every element: a reused
+// workspace buffer is handed over un-zeroed, and fresh reports that this
+// call allocated it. The kernel's first write to a fresh buffer stores
+// v + 0 instead of accumulating — bit-equal to 0 + v, signed zero
+// included — and must cover every element before anything reads it.
+func (t *Tensor) gradRaw() (fresh bool) {
+	if t.Grad != nil {
+		return false
+	}
+	if t.wsOwned && t.tape != nil && t.tape.ws != nil {
+		t.Grad = t.tape.ws.grabF64Raw(t.Len())
+	} else {
+		t.Grad = make([]float64, t.Len())
+	}
+	return true
+}
+
+// firstWrite reports whether output lane l's gradient is the first write
+// into operand t's fresh buffer: true for every lane of a batched operand
+// (each owns its block), only lane 0 of a broadcast one (later lanes
+// accumulate into the same block).
+func firstWrite(fresh bool, t *Tensor, l int) bool {
+	return fresh && (l == 0 || t.LaneCount() > 1)
+}
+
+// gradPut accumulates v into *dst, or stores v + 0 on the first write.
+func gradPut(dst *float64, v float64, first bool) {
+	if first {
+		*dst = v + 0
+	} else {
+		*dst += v
+	}
+}
+
+// gradAdd is gradPut over a row: dst[i] gets g[i].
+func gradAdd(dst, g []float64, first bool) {
+	dst = dst[:len(g)]
+	for i, v := range g {
+		gradPut(&dst[i], v, first)
+	}
+}
+
+// addTo accumulates src into dst elementwise.
+func addTo(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] += v
 	}
 }
 
@@ -172,9 +224,12 @@ func (tp *Tape) Leaf(t *Tensor) *Tensor {
 	return t
 }
 
-// Constant attaches a tensor to the tape without gradient tracking.
+// Constant attaches a tensor to the tape without gradient tracking. A
+// tensor that was a leaf on an earlier tape (a trained parameter) stops
+// tracking too, so ops reading it record no backward step for it.
 func (tp *Tape) Constant(t *Tensor) *Tensor {
 	t.tape = tp
+	t.requiresGrad = false
 	return t
 }
 
@@ -278,21 +333,15 @@ func (tp *Tape) Add(a, b *Tensor) (*Tensor, error) {
 				return
 			}
 			if a.requiresGrad {
-				a.ensureGrad()
+				fresh := a.gradRaw()
 				for l := 0; l < lanes; l++ {
-					ag, og := opLaneGrad(a, l), out.Grad[l*st:(l+1)*st]
-					for i := range og {
-						ag[i] += og[i]
-					}
+					gradAdd(opLaneGrad(a, l), out.Grad[l*st:(l+1)*st], firstWrite(fresh, a, l))
 				}
 			}
 			if b.requiresGrad {
-				b.ensureGrad()
+				fresh := b.gradRaw()
 				for l := 0; l < lanes; l++ {
-					bg, og := opLaneGrad(b, l), out.Grad[l*st:(l+1)*st]
-					for i := range og {
-						bg[i] += og[i]
-					}
+					gradAdd(opLaneGrad(b, l), out.Grad[l*st:(l+1)*st], firstWrite(fresh, b, l))
 				}
 			}
 		})
@@ -332,26 +381,28 @@ func (tp *Tape) Mul(a, b *Tensor) (*Tensor, error) {
 				return
 			}
 			if a.requiresGrad {
-				a.ensureGrad()
+				fresh := a.gradRaw()
 				for l := 0; l < lanes; l++ {
-					ag, bd, og := opLaneGrad(a, l), opLane(b, l), out.Grad[l*st:(l+1)*st]
-					for i := range og {
-						ag[i] += og[i] * bd[i]
-					}
+					mulGrad(opLaneGrad(a, l), out.Grad[l*st:(l+1)*st], opLane(b, l), firstWrite(fresh, a, l))
 				}
 			}
 			if b.requiresGrad {
-				b.ensureGrad()
+				fresh := b.gradRaw()
 				for l := 0; l < lanes; l++ {
-					bg, ad, og := opLaneGrad(b, l), opLane(a, l), out.Grad[l*st:(l+1)*st]
-					for i := range og {
-						bg[i] += og[i] * ad[i]
-					}
+					mulGrad(opLaneGrad(b, l), out.Grad[l*st:(l+1)*st], opLane(a, l), firstWrite(fresh, b, l))
 				}
 			}
 		})
 	}
 	return out, nil
+}
+
+// mulGrad is gradPut over a row: dst[i] gets og[i]·x[i].
+func mulGrad(dst, og, x []float64, first bool) {
+	dst, x = dst[:len(og)], x[:len(og)]
+	for i, g := range og {
+		gradPut(&dst[i], g*x[i], first)
+	}
 }
 
 // Scale returns s·a.
@@ -365,9 +416,9 @@ func (tp *Tape) Scale(a *Tensor, s float64) (*Tensor, error) {
 			if out.Grad == nil {
 				return
 			}
-			a.ensureGrad()
-			for i := range out.Grad {
-				a.Grad[i] += out.Grad[i] * s
+			fresh := a.gradRaw()
+			for i, g := range out.Grad {
+				gradPut(&a.Grad[i], g*s, fresh)
 			}
 		})
 	}
@@ -446,179 +497,6 @@ func (tp *Tape) MulBroadcast(a, s *Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// MatMul returns a·b for a [m×k] and b [k×n], per lane; a 1-lane operand
-// (shared weights against K-lane activations, or vice versa) broadcasts
-// and its gradient accumulates over lanes in fixed lane order.
-func (tp *Tape) MatMul(a, b *Tensor) (*Tensor, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("tensor: matmul %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	lanes, err := laneCompat(a, b)
-	if err != nil {
-		return nil, err
-	}
-	m, k, n := a.Rows, a.Cols, b.Cols
-	out := tp.resultRaw(lanes, m, n, a.requiresGrad || b.requiresGrad)
-	st := out.laneStride()
-	// Each output element accumulates av·b[kk][j] over kk in index order
-	// starting from 0, exactly as the classic zeroed-output loop would —
-	// the stack accumulator only removes the per-kk load/store of the
-	// output row, never reorders a floating-point addition.
-	var acc [32]float64
-	for l := 0; l < lanes; l++ {
-		ad, bd, od := opLane(a, l), opLane(b, l), out.Data[l*st:(l+1)*st]
-		switch {
-		case n == 1:
-			for i := 0; i < m; i++ {
-				ar := ad[i*k : (i+1)*k]
-				var s float64
-				for kk, av := range ar {
-					if av == 0 {
-						continue
-					}
-					s += av * bd[kk]
-				}
-				od[i] = s
-			}
-		case n <= len(acc):
-			for i := 0; i < m; i++ {
-				ar := ad[i*k : (i+1)*k]
-				ac := acc[:n]
-				for j := range ac {
-					ac[j] = 0
-				}
-				for kk := 0; kk < k; kk++ {
-					av := ar[kk]
-					if av == 0 {
-						continue
-					}
-					br := bd[kk*n : (kk+1)*n : (kk+1)*n]
-					for j := range ac {
-						ac[j] += av * br[j]
-					}
-				}
-				copy(od[i*n:(i+1)*n], ac)
-			}
-		default:
-			for i := 0; i < m; i++ {
-				ar := ad[i*k : (i+1)*k]
-				or := od[i*n : (i+1)*n]
-				for j := range or {
-					or[j] = 0
-				}
-				for kk := 0; kk < k; kk++ {
-					av := ar[kk]
-					if av == 0 {
-						continue
-					}
-					br := bd[kk*n : (kk+1)*n]
-					for j := 0; j < n; j++ {
-						or[j] += av * br[j]
-					}
-				}
-			}
-		}
-	}
-	if out.requiresGrad {
-		tp.record(func() {
-			if out.Grad == nil {
-				return
-			}
-			if a.requiresGrad {
-				a.ensureGrad()
-				// dA = dOut · Bᵀ
-				for l := 0; l < lanes; l++ {
-					ag, bd, og := opLaneGrad(a, l), opLane(b, l), out.Grad[l*st:(l+1)*st]
-					for i := 0; i < m; i++ {
-						gr := og[i*n : (i+1)*n]
-						agr := ag[i*k : (i+1)*k]
-						for kk := 0; kk < k; kk++ {
-							br := bd[kk*n : (kk+1)*n]
-							var s float64
-							for j := 0; j < n; j++ {
-								s += gr[j] * br[j]
-							}
-							agr[kk] += s
-						}
-					}
-				}
-			}
-			if b.requiresGrad {
-				b.ensureGrad()
-				// dB = Aᵀ · dOut
-				for l := 0; l < lanes; l++ {
-					bg, ad, og := opLaneGrad(b, l), opLane(a, l), out.Grad[l*st:(l+1)*st]
-					for kk := 0; kk < k; kk++ {
-						bgr := bg[kk*n : (kk+1)*n]
-						for i := 0; i < m; i++ {
-							av := ad[i*k+kk]
-							if av == 0 {
-								continue
-							}
-							gr := og[i*n : (i+1)*n]
-							for j := 0; j < n; j++ {
-								bgr[j] += av * gr[j]
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-	return out, nil
-}
-
-// AddRowVector returns a + broadcast(v) where v is a 1×n (or n×1) bias
-// added to every row of the m×n matrix a, per lane; v may be unbatched
-// (a shared bias) or carry one vector per lane.
-func (tp *Tape) AddRowVector(a, v *Tensor) (*Tensor, error) {
-	if v.laneStride() != a.Cols {
-		return nil, fmt.Errorf("tensor: bias of %d for %d cols", v.laneStride(), a.Cols)
-	}
-	lanes, err := laneCompat(a, v)
-	if err != nil {
-		return nil, err
-	}
-	out := tp.resultRaw(lanes, a.Rows, a.Cols, a.requiresGrad || v.requiresGrad)
-	st := out.laneStride()
-	for l := 0; l < lanes; l++ {
-		ad, vd, od := opLane(a, l), opLane(v, l), out.Data[l*st:(l+1)*st]
-		for i := 0; i < a.Rows; i++ {
-			for j := 0; j < a.Cols; j++ {
-				od[i*a.Cols+j] = ad[i*a.Cols+j] + vd[j]
-			}
-		}
-	}
-	if out.requiresGrad {
-		tp.record(func() {
-			if out.Grad == nil {
-				return
-			}
-			if a.requiresGrad {
-				a.ensureGrad()
-				for l := 0; l < lanes; l++ {
-					ag, og := opLaneGrad(a, l), out.Grad[l*st:(l+1)*st]
-					for i := range og {
-						ag[i] += og[i]
-					}
-				}
-			}
-			if v.requiresGrad {
-				v.ensureGrad()
-				for l := 0; l < lanes; l++ {
-					vg, og := opLaneGrad(v, l), out.Grad[l*st:(l+1)*st]
-					for i := 0; i < a.Rows; i++ {
-						for j := 0; j < a.Cols; j++ {
-							vg[j] += og[i*a.Cols+j]
-						}
-					}
-				}
-			}
-		})
-	}
-	return out, nil
-}
-
 // ReLU returns max(0, a) elementwise.
 func (tp *Tape) ReLU(a *Tensor) (*Tensor, error) {
 	out := tp.resultRaw(a.LaneCount(), a.Rows, a.Cols, a.requiresGrad)
@@ -656,10 +534,10 @@ func (tp *Tape) Tanh(a *Tensor) (*Tensor, error) {
 			if out.Grad == nil {
 				return
 			}
-			a.ensureGrad()
-			for i := range out.Grad {
+			fresh := a.gradRaw()
+			for i, g := range out.Grad {
 				y := out.Data[i]
-				a.Grad[i] += out.Grad[i] * (1 - y*y)
+				gradPut(&a.Grad[i], g*(1-y*y), fresh)
 			}
 		})
 	}
@@ -698,9 +576,9 @@ func (tp *Tape) Softplus(a *Tensor) (*Tensor, error) {
 			if out.Grad == nil {
 				return
 			}
-			a.ensureGrad()
-			for i := range out.Grad {
-				a.Grad[i] += out.Grad[i] / (1 + math.Exp(-a.Data[i]))
+			fresh := a.gradRaw()
+			for i, g := range out.Grad {
+				gradPut(&a.Grad[i], g/(1+math.Exp(-a.Data[i])), fresh)
 			}
 		})
 	}
@@ -796,17 +674,22 @@ func (tp *Tape) ConcatCols(ts ...*Tensor) (*Tensor, error) {
 			if out.Grad == nil {
 				return
 			}
+			// A part listed twice gets a fresh buffer at its first
+			// occurrence only; later occurrences accumulate.
+			var fb [8]bool
+			fresh := fb[:0]
+			for _, t := range parts {
+				fresh = append(fresh, t.requiresGrad && t.gradRaw())
+			}
 			for l := 0; l < lanes; l++ {
 				og := out.Grad[l*st : (l+1)*st]
 				off := 0
-				for _, t := range parts {
+				for pi, t := range parts {
 					if t.requiresGrad {
-						t.ensureGrad()
 						tg := opLaneGrad(t, l)
+						first := firstWrite(fresh[pi], t, l)
 						for i := 0; i < rows; i++ {
-							for j := 0; j < t.Cols; j++ {
-								tg[i*t.Cols+j] += og[i*cols+off+j]
-							}
+							gradAdd(tg[i*t.Cols:(i+1)*t.Cols], og[i*cols+off:i*cols+off+t.Cols], first)
 						}
 					}
 					off += t.Cols
@@ -924,9 +807,7 @@ func (tp *Tape) GatherRows(a *Tensor, idx []int32) (*Tensor, error) {
 			for l := 0; l < lanes; l++ {
 				ag, og := a.Grad[l*ast:(l+1)*ast], out.Grad[l*st:(l+1)*st]
 				for i, r := range rows {
-					for j := 0; j < a.Cols; j++ {
-						ag[int(r)*a.Cols+j] += og[i*a.Cols+j]
-					}
+					addTo(ag[int(r)*a.Cols:(int(r)+1)*a.Cols], og[i*a.Cols:(i+1)*a.Cols])
 				}
 			}
 		})
@@ -949,9 +830,7 @@ func (tp *Tape) SegmentSum(a *Tensor, seg []int32, nOut int) (*Tensor, error) {
 	for l := 0; l < lanes; l++ {
 		ad, od := a.Data[l*ast:(l+1)*ast], out.Data[l*st:(l+1)*st]
 		for i, s := range seg {
-			for j := 0; j < a.Cols; j++ {
-				od[int(s)*a.Cols+j] += ad[i*a.Cols+j]
-			}
+			addTo(od[int(s)*a.Cols:(int(s)+1)*a.Cols], ad[i*a.Cols:(i+1)*a.Cols])
 		}
 	}
 	if out.requiresGrad {
@@ -960,12 +839,84 @@ func (tp *Tape) SegmentSum(a *Tensor, seg []int32, nOut int) (*Tensor, error) {
 			if out.Grad == nil {
 				return
 			}
-			a.ensureGrad()
+			fresh := a.gradRaw()
 			for l := 0; l < lanes; l++ {
 				ag, og := a.Grad[l*ast:(l+1)*ast], out.Grad[l*st:(l+1)*st]
 				for i, s := range ids {
-					for j := 0; j < a.Cols; j++ {
-						ag[i*a.Cols+j] += og[int(s)*a.Cols+j]
+					gradAdd(ag[i*a.Cols:(i+1)*a.Cols], og[int(s)*a.Cols:(int(s)+1)*a.Cols], fresh)
+				}
+			}
+		})
+	}
+	return out, nil
+}
+
+// ScatterAdd returns a + SegmentSum(v, idx, a.Rows) as one op, for row
+// indices that are all distinct: row idx[i] of the result is
+// a[idx[i]] + (v[i] + 0) and every other row a + 0 — the bits of the
+// two-op form, without its zeroed a.Rows-row intermediate or the
+// intermediate's gradient. Lanes follow Add: a 1-lane operand
+// broadcasts. The model's dense per-pin and per-node states are
+// updated this way, once per netlist level and message-passing round.
+func (tp *Tape) ScatterAdd(a, v *Tensor, idx []int32) (*Tensor, error) {
+	if len(idx) != v.Rows || a.Cols != v.Cols {
+		return nil, fmt.Errorf("tensor: ScatterAdd of %d indices and %dx%d rows into %dx%d", len(idx), v.Rows, v.Cols, a.Rows, a.Cols)
+	}
+	if err := checkIndices("ScatterAdd", idx, a.Rows); err != nil {
+		return nil, err
+	}
+	seen := tp.scratchBool(a.Rows)
+	for i, r := range idx {
+		if seen[r] {
+			return nil, fmt.Errorf("tensor: ScatterAdd row %d repeats at position %d", r, i)
+		}
+		seen[r] = true
+	}
+	lanes, err := laneCompat(a, v)
+	if err != nil {
+		return nil, err
+	}
+	c := a.Cols
+	out := tp.resultRaw(lanes, a.Rows, c, a.requiresGrad || v.requiresGrad)
+	st := out.laneStride()
+	for l := 0; l < lanes; l++ {
+		ad, vd, od := opLane(a, l), opLane(v, l), out.Data[l*st:(l+1)*st]
+		for i, x := range ad {
+			od[i] = x + 0
+		}
+		for i, r := range idx {
+			o, ar, vr := od[int(r)*c:(int(r)+1)*c], ad[int(r)*c:(int(r)+1)*c], vd[i*c:(i+1)*c]
+			for j, x := range vr {
+				o[j] = ar[j] + (x + 0)
+			}
+		}
+	}
+	if out.requiresGrad {
+		rows := tp.captureI32(idx)
+		tp.record(func() {
+			if out.Grad == nil {
+				return
+			}
+			switch {
+			case a.requiresGrad && a.Grad == nil && a.LaneCount() == lanes:
+				// a's first gradient would be a copy of out's, which
+				// nothing reads once this step has run: a takes the
+				// buffer over. Bit-equal to storing the copy v + 0: no
+				// gradient element is ever -0 (every buffer starts at +0
+				// or is first written as v + 0).
+				a.Grad = out.Grad
+			case a.requiresGrad:
+				fresh := a.gradRaw()
+				for l := 0; l < lanes; l++ {
+					gradAdd(opLaneGrad(a, l), out.Grad[l*st:(l+1)*st], firstWrite(fresh, a, l))
+				}
+			}
+			if v.requiresGrad {
+				fresh := v.gradRaw()
+				for l := 0; l < lanes; l++ {
+					vg, og, first := opLaneGrad(v, l), out.Grad[l*st:(l+1)*st], firstWrite(fresh, v, l)
+					for i, r := range rows {
+						gradAdd(vg[i*c:(i+1)*c], og[int(r)*c:(int(r)+1)*c], first)
 					}
 				}
 			}
@@ -990,8 +941,10 @@ func (tp *Tape) SegmentMean(a *Tensor, seg []int32, nOut int) (*Tensor, error) {
 		if c == 0 {
 			c = 1
 		}
-		for j := 0; j < a.Cols; j++ {
-			inv.Data[r*a.Cols+j] = 1 / c
+		v := 1 / c
+		row := inv.Data[r*a.Cols : (r+1)*a.Cols]
+		for j := range row {
+			row[j] = v
 		}
 	}
 	return tp.Mul(sum, inv)
@@ -1147,13 +1100,4 @@ func (tp *Tape) SegmentLSE(a *Tensor, seg []int32, nOut int, gamma float64) (*Te
 		})
 	}
 	return out, nil
-}
-
-// Linear is the composite x·W + b over the tape.
-func (tp *Tape) Linear(x, w, b *Tensor) (*Tensor, error) {
-	y, err := tp.MatMul(x, w)
-	if err != nil {
-		return nil, err
-	}
-	return tp.AddRowVector(y, b)
 }

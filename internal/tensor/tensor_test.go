@@ -174,12 +174,13 @@ func TestGradScaleAddScalar(t *testing.T) {
 	})
 }
 
-func TestGradAddRowVectorBias(t *testing.T) {
+func TestGradLinearBias(t *testing.T) {
 	b := randTensor(1, 4, 15)
-	a := randTensor(5, 4, 16)
+	a := randTensor(5, 3, 16)
+	w := randTensor(3, 4, 19)
 	checkGrad(t, "bias", b, func(tp *Tape, b *Tensor) (*Tensor, error) {
 		ac := tp.Constant(a.Clone())
-		y, err := tp.AddRowVector(ac, b)
+		y, err := tp.Linear(ac, tp.Constant(w.Clone()), b)
 		if err != nil {
 			return nil, err
 		}
@@ -428,7 +429,7 @@ func TestShapeErrors(t *testing.T) {
 	if _, err := tp.MatMul(a, a); err == nil {
 		t.Fatal("bad matmul accepted")
 	}
-	if _, err := tp.AddRowVector(a, tp.Constant(NewVector(2))); err == nil {
+	if _, err := tp.Linear(a, b, tp.Constant(NewVector(3))); err == nil {
 		t.Fatal("bad bias accepted")
 	}
 	if _, err := tp.GatherRows(a, []int32{5}); err == nil {

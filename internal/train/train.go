@@ -153,8 +153,11 @@ func Train(m *gnn.Model, samples []*Sample, opt Options) (float64, error) {
 	if len(trainSet) == 0 {
 		return 0, fmt.Errorf("train: no training samples")
 	}
-	if opt.Epochs <= 0 || opt.LR <= 0 {
-		return 0, fmt.Errorf("train: bad options %+v", opt)
+	if opt.Epochs <= 0 {
+		return 0, fmt.Errorf("train: Epochs %d, want > 0", opt.Epochs)
+	}
+	if !(opt.LR > 0) {
+		return 0, fmt.Errorf("train: LR %g, want > 0", opt.LR)
 	}
 	adam := tensor.NewAdam(opt.LR, m.Params())
 	rng := rand.New(rand.NewSource(opt.Seed))
@@ -199,6 +202,16 @@ func Train(m *gnn.Model, samples []*Sample, opt Options) (float64, error) {
 	// read-only arithmetic over already-computed gradients, so enabling
 	// telemetry never changes the Adam trajectory.
 	wantGradSq := opt.Obs.Enabled()
+	// Each sample's geometry is parameter-free: compute it once, outside
+	// the workspace, and let every step record only the network.
+	geoms := make([]*gnn.Geometry, len(trainSet))
+	for i, s := range trainSet {
+		g, err := m.ConstGeometry(s.Batch, s.Forest)
+		if err != nil {
+			return 0, fmt.Errorf("train: %s: %w", s.Name, err)
+		}
+		geoms[i] = g
+	}
 	// One tensor workspace, reused across steps. Buffer reuse never
 	// changes results — workspace purity makes every gradient a function
 	// of (parameters, sample) alone.
@@ -214,7 +227,7 @@ func Train(m *gnn.Model, samples []*Sample, opt Options) (float64, error) {
 		epochLoss, epochGradSq := 0.0, 0.0
 		for _, si := range order {
 			s := trainSet[si]
-			loss, gradSq, err := step(m, adam, s, ws, wantGradSq, opt.Fault)
+			loss, gradSq, err := step(m, adam, s, geoms[si], ws, wantGradSq, opt.Fault)
 			if err != nil {
 				return 0, fmt.Errorf("train: %s: %w", s.Name, err)
 			}
@@ -280,13 +293,10 @@ func paramGradSq(params []*tensor.Tensor) float64 {
 	return sq
 }
 
-// sampleLoss builds the per-pin arrival MSE loss for one sample on tp.
-func sampleLoss(tp *tensor.Tape, m *gnn.Model, s *Sample) (*tensor.Tensor, error) {
-	xs, ys, err := s.Batch.SteinerLeaves(tp, s.Forest)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := m.Forward(tp, s.Batch, xs, ys, true)
+// sampleLoss builds the per-pin arrival MSE loss for one sample on tp
+// from the sample's constant geometry g.
+func sampleLoss(tp *tensor.Tape, m *gnn.Model, s *Sample, g *gnn.Geometry) (*tensor.Tensor, error) {
+	pred, err := m.ForwardGeometry(tp, s.Batch, g, true)
 	if err != nil {
 		return nil, err
 	}
@@ -316,14 +326,15 @@ func sampleLoss(tp *tensor.Tape, m *gnn.Model, s *Sample) (*tensor.Tensor, error
 	return loss, nil
 }
 
-// step runs one forward/backward/update on a sample and returns the loss,
-// plus (when wantGradSq is set) the squared gradient norm of the step for
-// telemetry. ws is the trainer's reused workspace; parameters are not
-// workspace-owned, so their gradient buffers persist across resets.
-func step(m *gnn.Model, adam *tensor.Adam, s *Sample, ws *tensor.Workspace, wantGradSq bool, inj *fault.Injector) (float64, float64, error) {
+// step runs one forward/backward/update on a sample with constant
+// geometry g and returns the loss, plus (when wantGradSq is set) the
+// squared gradient norm of the step for telemetry. ws is the trainer's
+// reused workspace; parameters are not workspace-owned, so their
+// gradient buffers persist across resets.
+func step(m *gnn.Model, adam *tensor.Adam, s *Sample, g *gnn.Geometry, ws *tensor.Workspace, wantGradSq bool, inj *fault.Injector) (float64, float64, error) {
 	tp := ws.Tape()
 	adam.ZeroGrad()
-	loss, err := sampleLoss(tp, m, s)
+	loss, err := sampleLoss(tp, m, s, g)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -347,14 +358,14 @@ type Scores struct {
 	ArrivalEnds float64 // R² over endpoints only
 }
 
-// Evaluate scores a sample without touching gradients.
+// Evaluate scores a sample without touching gradients: constant
+// geometry and constant parameters, so the tape records nothing.
 func Evaluate(m *gnn.Model, s *Sample) (Scores, error) {
-	tp := tensor.NewTape()
-	xs, ys, err := s.Batch.SteinerLeaves(tp, s.Forest)
+	g, err := m.ConstGeometry(s.Batch, s.Forest)
 	if err != nil {
 		return Scores{}, err
 	}
-	pred, err := m.Forward(tp, s.Batch, xs, ys, false)
+	pred, err := m.ForwardGeometry(tensor.NewTape(), s.Batch, g, false)
 	if err != nil {
 		return Scores{}, err
 	}

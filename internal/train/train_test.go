@@ -1,10 +1,16 @@
 package train
 
 import (
+	"io"
+	"math"
+	"strings"
 	"testing"
 
 	"tsteiner/internal/flow"
 	"tsteiner/internal/gnn"
+	"tsteiner/internal/guard"
+	"tsteiner/internal/guard/fault"
+	"tsteiner/internal/obs"
 )
 
 func sample(t *testing.T, name string, scale float64, train bool) *Sample {
@@ -88,11 +94,26 @@ func TestTrainValidation(t *testing.T) {
 		t.Fatal("training with no train samples accepted")
 	}
 	s.Train = true
-	if _, err := Train(m, []*Sample{s}, Options{Epochs: 0, LR: 1e-3}); err == nil {
-		t.Fatal("zero epochs accepted")
-	}
-	if _, err := Train(m, []*Sample{s}, Options{Epochs: 1, LR: 0}); err == nil {
-		t.Fatal("zero LR accepted")
+	// The error names the bad field and nothing else: no dump of the
+	// Verbose func, the Obs/Budget/Fault pointers or the checkpoint path.
+	noisy := Options{Verbose: func(int, float64) {}, Obs: obs.New(io.Discard), Budget: &guard.Budget{},
+		Fault: fault.New(1), CheckpointPath: "ckpt"}
+	for _, c := range []struct {
+		field      string
+		epochs     int
+		lr         float64
+		wantInText string
+	}{{"Epochs", 0, 1e-3, "Epochs 0"}, {"LR", 1, 0, "LR 0"}, {"LR", 1, math.NaN(), "LR NaN"}} {
+		opt := noisy
+		opt.Epochs, opt.LR = c.epochs, c.lr
+		_, err := Train(m, []*Sample{s}, opt)
+		if err == nil {
+			t.Fatalf("bad %s accepted: %+v", c.field, c)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, c.wantInText) || strings.Contains(msg, "0x") || strings.Contains(msg, "ckpt") {
+			t.Errorf("bad %s: error %q should name the field only", c.field, msg)
+		}
 	}
 }
 

@@ -41,8 +41,10 @@ go test -run 'Prop|Oracle' ./...
 
 # Router benchmark smoke: one iteration each of the allocation-reporting
 # global-route and maze-search benchmarks, so they keep compiling and
-# running.
+# running. The training-step benchmark (APU, one reused workspace) gets
+# the same smoke.
 go test -run '^$' -bench 'GlobalRoute|MazeRoute' -benchtime 1x ./internal/route
+go test -run '^$' -bench 'TrainStep' -benchtime 1x ./internal/train
 
 # Multi-corner sign-off gates: the per-corner fixpoint oracle on all ten
 # benchmarks, typical-corner bitwise identity, the matrix-penalty
