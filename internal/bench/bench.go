@@ -6,19 +6,17 @@
 // allocs/op together with the refine metrics in BENCH_refine.json at the
 // repository root.
 //
-// The committed baseline serves two gates:
+// The committed baseline serves these gates:
 //
-//   - TestBenchReplayByteIdentical re-runs the workload (pooled and
-//     allocating evaluation paths, several worker counts) and requires the
-//     refine metrics and final Steiner coordinates to be byte-identical to
-//     each other and to the recorded baseline.
+//   - TestBenchReplayByteIdentical re-runs the workload at several worker
+//     counts and requires the refine metrics and the digest of the final
+//     Steiner coordinates to equal the recorded baseline.
 //   - TestBenchAllocGate (enabled with -benchgate, wired into verify.sh)
-//     re-measures allocs/op and fails when the pooled refine loop regresses
-//     more than 10% over the baseline, or stops being at least 2x leaner
-//     than the allocating reference path.
+//     re-measures allocs/op and fails when the refine loop or the
+//     per-candidate batched refine loop regresses more than 10% over the
+//     baseline.
 //   - TestBatchReplayByteIdentical does the same replay for the
-//     BatchLanes-candidate refine loop: fused ForwardBatch vs sequential
-//     forwards, across worker counts, against metrics_batched.
+//     BatchLanes-candidate refine loop against metrics_batched.
 //   - TestBatchedBaselineMargin statically holds the committed
 //     gnn_forward_batched record to >=1.5x less per-candidate time than
 //     gnn_forward_sequential; the recorder enforces the margin when the
@@ -106,23 +104,19 @@ type RefineOutcome struct {
 }
 
 // RunRefine runs the pinned refine loop on a fresh refiner and returns
-// its outcome. disableWS selects the allocating reference path.
-func (w *Workload) RunRefine(disableWS bool) (*RefineOutcome, error) {
+// its outcome.
+func (w *Workload) RunRefine() (*RefineOutcome, error) {
 	opt := core.DefaultOptions()
 	opt.N = RefineIters
-	opt.DisableWorkspace = disableWS
 	return w.runRefine(opt)
 }
 
 // RunRefineBatched runs the pinned refine loop with CandidateLanes =
 // BatchLanes: each iteration evaluates BatchLanes line-search candidates
-// in one fused forward (or, with disableWS, in BatchLanes sequential
-// forwards — the byte-identical reference side of the batched replay
-// gate).
-func (w *Workload) RunRefineBatched(disableWS bool) (*RefineOutcome, error) {
+// in one fused forward.
+func (w *Workload) RunRefineBatched() (*RefineOutcome, error) {
 	opt := core.DefaultOptions()
 	opt.N = RefineIters
-	opt.DisableWorkspace = disableWS
 	opt.CandidateLanes = BatchLanes
 	return w.runRefine(opt)
 }

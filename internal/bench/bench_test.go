@@ -33,20 +33,7 @@ func BenchmarkRefineLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.RunRefine(false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRefineLoopAllocating measures the allocating reference path
-// (Options.DisableWorkspace), the before side of the pooling comparison.
-func BenchmarkRefineLoopAllocating(b *testing.B) {
-	w := newWorkload(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.RunRefine(true); err != nil {
+		if _, err := w.RunRefine(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -94,9 +81,7 @@ func BenchmarkGNNForwardBatched(b *testing.B) {
 
 // BenchmarkGNNForwardSequentialLanes is the before side of the batching
 // comparison: the same BatchLanes candidates evaluated by K sequential
-// forwards, one fresh tape per candidate — exactly the refine loop's
-// sequential reference path (the DisableWorkspace branch the batched
-// replay gate holds byte-identical to the fused path).
+// forwards, one fresh tape per candidate.
 func BenchmarkGNNForwardSequentialLanes(b *testing.B) {
 	w := newWorkload(b, 1)
 	cx, cy, err := w.CandidateCoords(BatchLanes)
@@ -128,7 +113,7 @@ func BenchmarkRefineBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.RunRefineBatched(false); err != nil {
+		if _, err := w.RunRefineBatched(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,31 +138,21 @@ func BenchmarkSTA(b *testing.B) {
 
 // TestBenchReplayByteIdentical is the replay gate: the pinned workload's
 // refine outcome — metrics, iteration count and the FNV digest of the
-// final Steiner coordinates — must be identical between the pooled and
-// allocating paths, across worker counts, and equal to the committed
-// baseline. Runs in short mode so verify.sh always exercises it.
+// final Steiner coordinates — must be identical across worker counts and
+// equal to the committed baseline. Runs in short mode so verify.sh
+// always exercises it.
 func TestBenchReplayByteIdentical(t *testing.T) {
-	outcomes := map[string]*RefineOutcome{}
-	for _, c := range []struct {
-		key       string
-		workers   int
-		disableWS bool
-	}{
-		{"ws/w=1", 1, false},
-		{"ws/w=4", 4, false},
-		{"alloc/w=1", 1, true},
-	} {
-		out, err := newWorkload(t, c.workers).RunRefine(c.disableWS)
+	outcomes := map[int]*RefineOutcome{}
+	for _, w := range []int{1, 4} {
+		out, err := newWorkload(t, w).RunRefine()
 		if err != nil {
-			t.Fatalf("%s: %v", c.key, err)
+			t.Fatalf("w=%d: %v", w, err)
 		}
-		outcomes[c.key] = out
+		outcomes[w] = out
 	}
-	want := outcomes["alloc/w=1"]
-	for key, got := range outcomes {
-		if *got != *want {
-			t.Errorf("%s outcome %+v != alloc/w=1 %+v", key, *got, *want)
-		}
+	want := outcomes[1]
+	if got := outcomes[4]; *got != *want {
+		t.Errorf("w=4 outcome %+v != w=1 %+v", *got, *want)
 	}
 
 	path, err := BaselinePath()
@@ -203,31 +178,20 @@ func TestBenchReplayByteIdentical(t *testing.T) {
 }
 
 // TestBatchReplayByteIdentical is the batched replay gate: the
-// multi-candidate refine outcome must be identical between the fused
-// ForwardBatch path and the sequential-forwards reference, across worker
-// counts, and equal to the committed baseline's metrics_batched.
+// multi-candidate refine outcome must be identical across worker counts
+// and equal to the committed baseline's metrics_batched.
 func TestBatchReplayByteIdentical(t *testing.T) {
-	outcomes := map[string]*RefineOutcome{}
-	for _, c := range []struct {
-		key       string
-		workers   int
-		disableWS bool
-	}{
-		{"ws/w=1", 1, false},
-		{"ws/w=4", 4, false},
-		{"alloc/w=1", 1, true},
-	} {
-		out, err := newWorkload(t, c.workers).RunRefineBatched(c.disableWS)
+	outcomes := map[int]*RefineOutcome{}
+	for _, w := range []int{1, 4} {
+		out, err := newWorkload(t, w).RunRefineBatched()
 		if err != nil {
-			t.Fatalf("%s: %v", c.key, err)
+			t.Fatalf("w=%d: %v", w, err)
 		}
-		outcomes[c.key] = out
+		outcomes[w] = out
 	}
-	want := outcomes["alloc/w=1"]
-	for key, got := range outcomes {
-		if *got != *want {
-			t.Errorf("%s batched outcome %+v != alloc/w=1 %+v", key, *got, *want)
-		}
+	want := outcomes[1]
+	if got := outcomes[4]; *got != *want {
+		t.Errorf("w=4 batched outcome %+v != w=1 %+v", *got, *want)
 	}
 
 	path, err := BaselinePath()
@@ -274,10 +238,9 @@ func measureLanes(fn func(b *testing.B), lanes int) Record {
 }
 
 // TestBenchAllocGate is the allocation-regression gate verify.sh runs
-// with -benchgate. It re-measures the refine loop and fails when the
-// pooled path's allocs/op regress more than 10% over the committed
-// baseline, or when pooling stops cutting allocations by at least half
-// relative to the allocating reference path.
+// with -benchgate. It re-measures the refine loop and the batched refine
+// loop and fails when either one's allocs/op regress more than 10% over
+// the committed baseline.
 func TestBenchAllocGate(t *testing.T) {
 	if !*benchGate {
 		t.Skip("allocation gate disabled; enable with -benchgate")
@@ -293,11 +256,9 @@ func TestBenchAllocGate(t *testing.T) {
 	if _, ok := base.Benchmarks["refine_loop"]; !ok {
 		t.Fatalf("baseline %s has no refine_loop record", path)
 	}
-	pooled := measure(BenchmarkRefineLoop)
-	allocating := measure(BenchmarkRefineLoopAllocating)
-	t.Logf("refine_loop pooled: %+v (baseline %+v), allocating: %+v",
-		pooled, base.Benchmarks["refine_loop"], allocating)
-	if err := base.CheckAllocGate(pooled, allocating); err != nil {
+	loop := measure(BenchmarkRefineLoop)
+	t.Logf("refine_loop: %+v (baseline %+v)", loop, base.Benchmarks["refine_loop"])
+	if err := base.CheckAllocGate(loop); err != nil {
 		t.Error(err)
 	}
 
@@ -361,11 +322,11 @@ func TestBenchUpdateBaseline(t *testing.T) {
 		t.Skip("baseline recorder disabled; enable with -benchupdate")
 	}
 	w := newWorkload(t, 1)
-	out, err := w.RunRefine(false)
+	out, err := w.RunRefine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	outBatched, err := w.RunRefineBatched(false)
+	outBatched, err := w.RunRefineBatched()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +344,6 @@ func TestBenchUpdateBaseline(t *testing.T) {
 		Iters:     RefineIters,
 		Benchmarks: map[string]Record{
 			"refine_loop":            measure(BenchmarkRefineLoop),
-			"refine_loop_allocating": measure(BenchmarkRefineLoopAllocating),
 			"refine_batched":         measureLanes(BenchmarkRefineBatched, BatchLanes),
 			"gnn_forward":            measure(BenchmarkGNNForward),
 			"gnn_forward_batched":    fused,

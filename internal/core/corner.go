@@ -52,18 +52,22 @@ func CornerTermsFor(corners []sta.Corner) []CornerTerm {
 	return out
 }
 
+// cornersOf lists the terms' corners in order.
+func cornersOf(terms []CornerTerm) []sta.Corner {
+	out := make([]sta.Corner, len(terms))
+	for i, ct := range terms {
+		out[i] = ct.Corner
+	}
+	return out
+}
+
 // validateCornerTerms rejects terms that would corrupt the penalty:
 // invalid corners, duplicate names, non-finite or negative weights.
 func validateCornerTerms(terms []CornerTerm) error {
-	seen := make(map[string]bool, len(terms))
+	if err := sta.ValidateCorners(cornersOf(terms)); err != nil {
+		return err
+	}
 	for _, ct := range terms {
-		if err := ct.Corner.Validate(); err != nil {
-			return err
-		}
-		if seen[ct.Corner.Name] {
-			return fmt.Errorf("core: duplicate corner %q", ct.Corner.Name)
-		}
-		seen[ct.Corner.Name] = true
 		if math.IsNaN(ct.Lambda) || math.IsInf(ct.Lambda, 0) || ct.Lambda < 0 {
 			return fmt.Errorf("core: corner %q weight %v not finite and non-negative", ct.Corner.Name, ct.Lambda)
 		}
@@ -164,13 +168,7 @@ func (r *Refiner) holdCorner() sta.Corner {
 	if len(r.Opt.Corners) == 0 {
 		return sta.FastCorner()
 	}
-	best := r.Opt.Corners[0].Corner
-	for _, ct := range r.Opt.Corners[1:] {
-		if ct.Corner.DelayScale < best.DelayScale {
-			best = ct.Corner
-		}
-	}
-	return best
+	return r.Opt.Corners[sta.HoldCorner(cornersOf(r.Opt.Corners))].Corner
 }
 
 // holdVios counts hold violations of a forest under the hold corner

@@ -47,12 +47,8 @@ func newEvalSession(r *Refiner) *evalSession {
 	}
 }
 
-// session returns the refiner's lazily-built evaluation session, or nil
-// when Options.DisableWorkspace selects the allocating reference path.
+// session returns the refiner's lazily-built evaluation session.
 func (r *Refiner) session() *evalSession {
-	if r.Opt.DisableWorkspace {
-		return nil
-	}
 	if r.sess == nil {
 		r.sess = newEvalSession(r)
 	}

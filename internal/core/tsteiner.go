@@ -113,13 +113,6 @@ type Options struct {
 	// otherwise-accepted iteration).
 	HoldGuard bool
 
-	// DisableWorkspace selects the allocating reference evaluation path
-	// instead of the pooled workspace + forward-memo path. Both are
-	// byte-identical (the differential gate TestWorkspaceForwardMatches-
-	// Allocating holds them together); the flag exists for that gate and
-	// for the bench harness's before/after comparison.
-	DisableWorkspace bool
-
 	// CandidateLanes sets the number K of candidate steps evaluated per
 	// iteration in one fused batched forward pass: lane 0 takes the full
 	// SO step (Algorithm 1's single candidate) and lane k scales the
@@ -128,11 +121,7 @@ type Options struct {
 	// batch's precomputed structure tables. The lane with the best hard
 	// metrics (max WNS, ties by TNS, then lowest lane) becomes the
 	// iteration's candidate and meets the usual accept rule. Values ≤ 1
-	// run the same path with K = 1, which is Algorithm 1 exactly. With
-	// DisableWorkspace the same K candidates are evaluated by K
-	// sequential forwards instead — byte-identical trajectories, no
-	// batched kernels (the differential gate
-	// TestBatchedRefineMatchesSequential holds the two together).
+	// run the same path with K = 1, which is Algorithm 1 exactly.
 	CandidateLanes int
 }
 
@@ -203,8 +192,14 @@ func NewRefiner(m *gnn.Model, b *gnn.Batch, p *flow.Prepared, opt Options) (*Ref
 	if m == nil || b == nil || p == nil {
 		return nil, fmt.Errorf("core: nil input")
 	}
-	if opt.Gamma <= 0 || opt.N <= 0 || opt.Alpha == 0 {
-		return nil, fmt.Errorf("core: bad options %+v", opt)
+	if !(opt.Gamma > 0) || !finite(opt.Gamma) {
+		return nil, fmt.Errorf("core: Gamma %g, want finite > 0", opt.Gamma)
+	}
+	if opt.N <= 0 {
+		return nil, fmt.Errorf("core: N %d, want > 0", opt.N)
+	}
+	if opt.Alpha == 0 || !finite(opt.Alpha) {
+		return nil, fmt.Errorf("core: Alpha %g, want finite and nonzero", opt.Alpha)
 	}
 	if err := validateCornerTerms(opt.Corners); err != nil {
 		return nil, err
@@ -221,24 +216,11 @@ func (r *Refiner) sink() *obs.Sink { return r.Prep.Config.Obs }
 // the predicted endpoint slacks — the quantities Algorithm 1 compares.
 func (r *Refiner) evalMetrics(f *rsmt.Forest) (wns, tns float64, err error) {
 	r.sink().Add("core.evals", 1)
-	if s := r.session(); s != nil {
-		_, bp, lane, err := s.forward(f)
-		if err != nil {
-			return 0, 0, err
-		}
-		wns, tns = r.metricsFromSlack(bp.LaneSlack(lane))
-		return wns, tns, nil
-	}
-	tp := tensor.NewTape()
-	xs, ys, err := r.Batch.SteinerLeaves(tp, f)
+	_, bp, lane, err := r.session().forward(f)
 	if err != nil {
 		return 0, 0, err
 	}
-	pred, err := r.Model.Forward(tp, r.Batch, xs, ys, false)
-	if err != nil {
-		return 0, 0, err
-	}
-	wns, tns = r.metricsFromSlack(pred.Slack.Data)
+	wns, tns = r.metricsFromSlack(bp.LaneSlack(lane))
 	return wns, tns, nil
 }
 
@@ -263,33 +245,7 @@ func hardMetrics(slack []float64) (wns, tns float64) {
 // the forward pass as well (free for callers, logged by telemetry).
 func (r *Refiner) gradients(f *rsmt.Forest, lw, lt float64) (gx, gy []float64, pval float64, err error) {
 	r.sink().Add("core.grad_calls", 1)
-	if s := r.session(); s != nil {
-		return s.gradients(f, lw, lt)
-	}
-	tp := tensor.NewTape()
-	xs, ys, err := r.Batch.SteinerLeaves(tp, f)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	pred, err := r.Model.Forward(tp, r.Batch, xs, ys, false)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	p, err := r.penalty(tp, pred, lw, lt)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if err := tp.Backward(p); err != nil {
-		return nil, nil, 0, err
-	}
-	return xs.Grad, ys.Grad, p.Data[0], nil
-}
-
-// penalty builds P_γ = λ_w·w_γ + λ_t·t_γ on the tape (Eq. 4–6) from a
-// prediction's slack — or the multi-corner matrix penalty when
-// Options.Corners are configured.
-func (r *Refiner) penalty(tp *tensor.Tape, pred *gnn.Prediction, lw, lt float64) (*tensor.Tensor, error) {
-	return r.penaltyMatrixOn(tp, pred.Slack, lw, lt)
+	return r.session().gradients(f, lw, lt)
 }
 
 // penaltyOn builds the smoothed penalty directly on a slack tensor:
@@ -344,23 +300,7 @@ func (r *Refiner) penaltyOn(tp *tensor.Tape, slack *tensor.Tensor, lw, lt float6
 // forest's current positions without computing gradients.
 func (r *Refiner) Penalty(f *rsmt.Forest) (float64, error) {
 	r.sink().Add("core.penalty_evals", 1)
-	if s := r.session(); s != nil {
-		return s.penalty(f, r.Opt.LambdaW, r.Opt.LambdaT)
-	}
-	tp := tensor.NewTape()
-	xs, ys, err := r.Batch.SteinerLeaves(tp, f)
-	if err != nil {
-		return 0, err
-	}
-	pred, err := r.Model.Forward(tp, r.Batch, xs, ys, false)
-	if err != nil {
-		return 0, err
-	}
-	p, err := r.penalty(tp, pred, r.Opt.LambdaW, r.Opt.LambdaT)
-	if err != nil {
-		return 0, err
-	}
-	return p.Data[0], nil
+	return r.session().penalty(f, r.Opt.LambdaW, r.Opt.LambdaT)
 }
 
 // Gradients exposes the sign-off timing gradients at a forest's current
@@ -765,19 +705,14 @@ func (r *Refiner) refineFrom(startForest *rsmt.Forest, ckptPath string) (*Result
 
 	res.Forest = best
 	res.RuntimeSec = time.Since(t0).Seconds()
-	done := []obs.KV{
-		{K: "iterations", V: res.Iterations},
-		{K: "converged", V: res.ConvergedByRatio},
-		{K: "init_wns", V: res.InitWNS}, {K: "best_wns", V: res.BestWNS},
-		{K: "init_tns", V: res.InitTNS}, {K: "best_tns", V: res.BestTNS},
-	}
-	if r.sess != nil {
-		st := r.sess.ws.Stats()
-		done = append(done,
-			obs.KV{K: "ws_grabs", V: st.Grabs},
-			obs.KV{K: "ws_hits", V: st.Hits})
-	}
-	r.sink().Event("core.done", done...)
+	ws := r.session().ws.Stats()
+	r.sink().Event("core.done",
+		obs.KV{K: "iterations", V: res.Iterations},
+		obs.KV{K: "converged", V: res.ConvergedByRatio},
+		obs.KV{K: "init_wns", V: res.InitWNS}, obs.KV{K: "best_wns", V: res.BestWNS},
+		obs.KV{K: "init_tns", V: res.InitTNS}, obs.KV{K: "best_tns", V: res.BestTNS},
+		obs.KV{K: "ws_grabs", V: ws.Grabs},
+		obs.KV{K: "ws_hits", V: ws.Hits})
 	return res, nil
 }
 
@@ -823,39 +758,21 @@ func (r *Refiner) stageCandidates(lanes int, baseX, baseY, dx, dy, x0, y0 []floa
 	return nil
 }
 
-// evalCandidates produces the hard metrics of the staged candidates: one
-// fused ForwardBatch over all lanes on the session path, K plain forwards
-// on the allocating reference path — byte-identical per lane by the
-// tensor package's lane contract.
+// evalCandidates produces the hard metrics of the staged candidates with
+// one fused ForwardBatch over all lanes.
 func (r *Refiner) evalCandidates(lanes int, laneXs, laneYs, wns, tns []float64) error {
 	r.sink().Add("core.evals", int64(lanes))
-	if s := r.session(); s != nil {
-		t0 := time.Now()
-		bp, err := s.forwardBatch(lanes, laneXs, laneYs)
-		if err != nil {
-			return err
-		}
-		// Telemetry: lanes evaluated per batched pass and the amortized
-		// per-candidate forward cost (side channel, never fed back).
-		r.sink().Add("core.batch_lanes", int64(lanes))
-		r.sink().Observe("gnn.batch_amortized_ns", float64(time.Since(t0).Nanoseconds())/float64(lanes))
-		for k := 0; k < lanes; k++ {
-			wns[k], tns[k] = r.metricsFromSlack(bp.LaneSlack(k))
-		}
-		return nil
+	t0 := time.Now()
+	bp, err := r.session().forwardBatch(lanes, laneXs, laneYs)
+	if err != nil {
+		return err
 	}
-	n := r.Batch.NSteiner
+	// Telemetry: lanes evaluated per batched pass and the amortized
+	// per-candidate forward cost (side channel, never fed back).
+	r.sink().Add("core.batch_lanes", int64(lanes))
+	r.sink().Observe("gnn.batch_amortized_ns", float64(time.Since(t0).Nanoseconds())/float64(lanes))
 	for k := 0; k < lanes; k++ {
-		tp := tensor.NewTape()
-		xs, ys, err := r.Batch.LeavesFromCoords(tp, laneXs[k*n:(k+1)*n], laneYs[k*n:(k+1)*n])
-		if err != nil {
-			return err
-		}
-		pred, err := r.Model.Forward(tp, r.Batch, xs, ys, false)
-		if err != nil {
-			return err
-		}
-		wns[k], tns[k] = r.metricsFromSlack(pred.Slack.Data)
+		wns[k], tns[k] = r.metricsFromSlack(bp.LaneSlack(k))
 	}
 	return nil
 }

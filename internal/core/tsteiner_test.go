@@ -2,10 +2,13 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"tsteiner/internal/flow"
 	"tsteiner/internal/gnn"
+	"tsteiner/internal/guard"
+	"tsteiner/internal/guard/fault"
 	"tsteiner/internal/train"
 )
 
@@ -62,15 +65,34 @@ func TestNewRefinerValidation(t *testing.T) {
 		t.Fatal("nil inputs accepted")
 	}
 	r, s := fixture(t)
-	bad := DefaultOptions()
-	bad.Gamma = 0
-	if _, err := NewRefiner(r.Model, s.Batch, s.Prepared, bad); err == nil {
-		t.Fatal("zero gamma accepted")
-	}
-	bad = DefaultOptions()
-	bad.N = 0
-	if _, err := NewRefiner(r.Model, s.Batch, s.Prepared, bad); err == nil {
-		t.Fatal("zero iterations accepted")
+	for _, c := range []struct {
+		name  string
+		field string
+		set   func(*Options)
+	}{
+		{"zero gamma", "Gamma", func(o *Options) { o.Gamma = 0 }},
+		{"NaN gamma", "Gamma", func(o *Options) { o.Gamma = math.NaN() }},
+		{"+Inf gamma", "Gamma", func(o *Options) { o.Gamma = math.Inf(1) }},
+		{"zero iterations", "N", func(o *Options) { o.N = 0 }},
+		{"zero alpha", "Alpha", func(o *Options) { o.Alpha = 0 }},
+		{"NaN alpha", "Alpha", func(o *Options) { o.Alpha = math.NaN() }},
+		{"-Inf alpha", "Alpha", func(o *Options) { o.Alpha = math.Inf(-1) }},
+	} {
+		bad := DefaultOptions()
+		// Pointer and path fields must never leak into the message.
+		bad.Budget = &guard.Budget{}
+		bad.Fault = fault.New(1)
+		bad.CheckpointPath = "/spool/job-42/refine.ckpt"
+		c.set(&bad)
+		_, err := NewRefiner(r.Model, s.Batch, s.Prepared, bad)
+		if err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, c.field) || strings.Contains(msg, "0x") ||
+			strings.Contains(msg, bad.CheckpointPath) {
+			t.Fatalf("%s: error %q must name %s and nothing else of the options", c.name, msg, c.field)
+		}
 	}
 }
 

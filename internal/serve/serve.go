@@ -211,15 +211,8 @@ func (r *JobRequest) Validate() error {
 	if len(r.Corners) > maxCorners {
 		return fmt.Errorf("serve: job %s asks for %d corners (max %d)", r.ID, len(r.Corners), maxCorners)
 	}
-	seen := make(map[string]bool, len(r.Corners))
-	for _, c := range r.Corners {
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("serve: job %s: %w", r.ID, err)
-		}
-		if seen[c.Name] {
-			return fmt.Errorf("serve: job %s: duplicate corner %q", r.ID, c.Name)
-		}
-		seen[c.Name] = true
+	if err := sta.ValidateCorners(r.Corners); err != nil {
+		return fmt.Errorf("serve: job %s: %w", r.ID, err)
 	}
 	return nil
 }

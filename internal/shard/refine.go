@@ -43,7 +43,7 @@ func Refine(p *flow.Prepared, opt Options) (*Result, error) {
 		return nil, err
 	}
 	primary := primaryCorner(corners)
-	holdIdx := holdCornerIdx(corners)
+	holdIdx := sta.HoldCorner(corners)
 	root := cfg.Obs.Start("shard.refine")
 	defer root.End()
 

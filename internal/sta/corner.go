@@ -115,18 +115,17 @@ func ParseCorners(spec string) ([]Corner, error) {
 			out = append(out, c)
 		}
 	}
-	if err := validateCorners(out); err != nil {
+	// Every token appends a corner or fails, so out is never empty.
+	if err := ValidateCorners(out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// validateCorners checks each corner and rejects duplicate names (the
-// matrix is keyed on them).
-func validateCorners(corners []Corner) error {
-	if len(corners) == 0 {
-		return fmt.Errorf("sta: empty corner list")
-	}
+// ValidateCorners checks each corner and rejects duplicate names (the
+// matrix is keyed on them). An empty list is valid; callers that need at
+// least one corner check that themselves.
+func ValidateCorners(corners []Corner) error {
 	seen := make(map[string]bool, len(corners))
 	for _, c := range corners {
 		if err := c.Validate(); err != nil {
@@ -138,6 +137,19 @@ func validateCorners(corners []Corner) error {
 		seen[c.Name] = true
 	}
 	return nil
+}
+
+// HoldCorner returns the index of the corner hold analysis reads:
+// minimum DelayScale (shortest paths race the clock hardest), first on
+// ties. corners must be non-empty.
+func HoldCorner(corners []Corner) int {
+	best := 0
+	for i, c := range corners[1:] {
+		if c.DelayScale < corners[best].DelayScale {
+			best = i + 1
+		}
+	}
+	return best
 }
 
 // RunCorner performs the PERT traversal with the corner's derating
@@ -154,7 +166,10 @@ func RunCorner(d *netlist.Design, rcs []rc.NetRC, c Corner) (*Result, error) {
 // one Result per corner in input order. Deterministic by construction:
 // corners are independent and analyzed sequentially.
 func RunCorners(d *netlist.Design, rcs []rc.NetRC, corners []Corner) ([]*Result, error) {
-	if err := validateCorners(corners); err != nil {
+	if len(corners) == 0 {
+		return nil, fmt.Errorf("sta: empty corner list")
+	}
+	if err := ValidateCorners(corners); err != nil {
 		return nil, err
 	}
 	out := make([]*Result, len(corners))

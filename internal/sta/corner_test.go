@@ -107,8 +107,8 @@ func TestCornerRetimerRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestCornerValidate covers the corner sanity checks and the
-// duplicate-name rejection in RunCorners.
+// TestCornerValidate covers the corner sanity checks, the duplicate-name
+// rejection in RunCorners and the hold-corner pick.
 func TestCornerValidate(t *testing.T) {
 	bad := []Corner{
 		{Name: "", DelayScale: 1, SlewScale: 1, ClockScale: 1},
@@ -136,6 +136,13 @@ func TestCornerValidate(t *testing.T) {
 	}
 	if _, err := RunCorners(fx.d, fx.rcs, nil); err == nil {
 		t.Fatal("empty corner list accepted")
+	}
+	if err := ValidateCorners(nil); err != nil {
+		t.Fatalf("ValidateCorners rejected the empty list: %v", err)
+	}
+	ff := Corner{Name: "ff", DelayScale: FastCorner().DelayScale, SlewScale: 1, ClockScale: 1}
+	if i := HoldCorner([]Corner{SlowCorner(), FastCorner(), ff}); i != 1 {
+		t.Fatalf("HoldCorner=%d, want 1 (minimum DelayScale, first on ties)", i)
 	}
 }
 

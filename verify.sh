@@ -9,8 +9,8 @@
 # sub-linearity re-measurement), the multi-corner sign-off gates
 # (per-corner fixpoint oracle, corner properties, and the multi-corner
 # shard determinism matrix under -race), a
-# short native-fuzz smoke over the byte-level decoders, the workspace
-# and batched-forward byte-identity + benchmark-replay gates, the
+# short native-fuzz smoke over the byte-level decoders, the pinned
+# refine-trajectory and benchmark-replay gates, the
 # allocation-regression gate against BENCH_refine.json (including the
 # batched per-candidate records), the live-observability smoke gate
 # (-obs-listen scrape via tracestat + trace-fixture A/B regression
@@ -69,17 +69,16 @@ go test -race -run 'ShardDeterminism' ./internal/shard
 # `go test ./...` run via TestScaleBaselineSubLinear).
 go test ./internal/bench/ -run TestBenchScaleGate -benchscale -timeout 30m
 
-# Workspace determinism gates: pooled vs allocating evaluation must be
-# byte-identical (down to final Steiner coordinates) at any worker
-# count, and must replay the metrics recorded in BENCH_refine.json.
-# BatchReplay covers the batched path: the fused multi-candidate
-# refiner forward against the sequential reference, bench- and
-# pipeline-level.
-go test -run 'Workspace|BenchReplay|BatchReplay' ./...
+# Refine determinism gates: the pipeline (lanes 1 and 4) and the core
+# multi-candidate trajectory must hash to their pinned digests, and the
+# bench workload must replay the metrics and coordinate digests recorded
+# in BENCH_refine.json (single-candidate and batched), at any worker
+# count.
+go test -run 'WorkspaceForward|RefinePinned|BenchReplay|BatchReplay' ./...
 
-# Allocation-regression gate: re-measure the refine loop and fail if
-# pooled allocs/op regress >10% over the committed BENCH_refine.json or
-# stop being >=2x leaner than the allocating reference path.
+# Allocation-regression gate: re-measure the refine loop and the batched
+# refine loop and fail if either one's allocs/op regress >10% over the
+# committed BENCH_refine.json.
 # (package path first: go test hands the unknown -benchgate flag to the
 # test binary, and everything after it too)
 go test ./internal/bench/ -run TestBenchAllocGate -benchgate
