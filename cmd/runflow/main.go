@@ -255,6 +255,7 @@ func refineDesign(p *flow.Prepared, timing *sta.Result, baseline *flow.Report, e
 	topt := train.DefaultOptions()
 	topt.Epochs = epochs
 	topt.Seed = seed
+	topt.Workers = workers
 	topt.Obs = sink
 	topt.Budget = budget
 	if shared.CheckpointDir != "" {

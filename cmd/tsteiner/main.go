@@ -212,6 +212,7 @@ func main() {
 		opt := train.DefaultOptions()
 		opt.Epochs = *epochs
 		opt.Seed = *seed
+		opt.Workers = *workers
 		opt.Obs = sink
 		opt.Budget = budget
 		if shared.CheckpointDir != "" {

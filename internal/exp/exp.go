@@ -43,7 +43,8 @@ type Config struct {
 	Seed              int64
 	// Workers bounds the goroutines used by the parallel stages (baseline
 	// flow runs, augmentation labeling, random-move trials, per-design
-	// TSteiner runs); 0 = GOMAXPROCS, 1 = serial. Every table and figure
+	// TSteiner runs) and, unless Train.Workers is set, the training
+	// pool's width; 0 = GOMAXPROCS, 1 = serial. Every table and figure
 	// is byte-identical for every worker count — Workers only changes the
 	// wall clock.
 	Workers int
@@ -109,6 +110,9 @@ func NewSuite(cfg Config) (*Suite, error) {
 	}
 	if cfg.Flow.Workers == 0 {
 		cfg.Flow.Workers = cfg.Workers
+	}
+	if cfg.Train.Workers == 0 {
+		cfg.Train.Workers = cfg.Workers
 	}
 	if cfg.Flow.Obs == nil {
 		cfg.Flow.Obs = cfg.Obs

@@ -258,6 +258,7 @@ func (rn *Runner) model(req *JobRequest, family string, smp *train.Sample, budge
 		topt := train.DefaultOptions()
 		topt.Epochs = req.Epochs
 		topt.Seed = req.Seed
+		topt.Workers = req.Workers
 		topt.Obs = jobSink
 		topt.Budget = budget
 		topt.Fault = rn.Fault

@@ -96,8 +96,10 @@ type JobRequest struct {
 	Lanes           int
 	AugmentVariants int
 
-	// Workers bounds the job's internal parallel fan-outs
-	// (0 = all CPUs). Results are byte-identical at any value.
+	// Workers bounds the job's internal parallel fan-outs, the
+	// evaluator-training pool included (0 = all CPUs). With several job
+	// workers, 1 keeps each job on one CPU. Results are byte-identical at
+	// any value.
 	Workers int
 
 	// Shards > 0 switches a refine job to the sharded incremental

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -84,6 +85,28 @@ func BenchmarkBackwardMLP(b *testing.B) {
 		loss, _ := tp.Sum(o)
 		if err := tp.Backward(loss); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSplitAdd times one forward Add of n elements on a workspace
+// of width 1 and 2 with every op split (minSplit 1): where the two
+// cross is the size below which a split costs more than it saves, the
+// measurement behind defaultMinSplit (an Add element is one work unit).
+func BenchmarkSplitAdd(b *testing.B) {
+	for _, n := range []int{1 << 10, 1 << 12, 1 << 13, 1 << 14, 1 << 16} {
+		x, y := NewMatrix(n, 1), NewMatrix(n, 1)
+		for _, width := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/width=%d", n, width), func(b *testing.B) {
+				ws := newWorkspace(width, 1)
+				defer ws.Close()
+				for i := 0; i < b.N; i++ {
+					tp := ws.Tape()
+					if _, err := tp.Add(tp.Constant(x), tp.Constant(y)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

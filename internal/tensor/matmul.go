@@ -51,7 +51,7 @@ func (tp *Tape) linear(a, b, bias *Tensor) (*Tensor, error) {
 		if bias != nil {
 			bv = opLane(bias, l)
 		}
-		mmForward(out.Data[l*st:(l+1)*st], opLane(a, l), opLane(b, l), bv, m, k, n)
+		tp.split(&task{op: kMMForward, out: out.Data[l*st : (l+1)*st], x: opLane(a, l), y: opLane(b, l), z: bv, k: k, n: n}, m, m*k*n)
 	}
 	if !req {
 		return out, nil
@@ -63,19 +63,19 @@ func (tp *Tape) linear(a, b, bias *Tensor) (*Tensor, error) {
 		if bias != nil && bias.requiresGrad {
 			bias.ensureGrad()
 			for l := 0; l < lanes; l++ {
-				biasGrad(opLaneGrad(bias, l), out.Grad[l*st:(l+1)*st], m, n)
+				tp.split(&task{op: kBiasGrad, out: opLaneGrad(bias, l), x: out.Grad[l*st : (l+1)*st], m: m, n: n}, n, m*n)
 			}
 		}
 		if a.requiresGrad {
 			fresh := a.gradRaw()
 			for l := 0; l < lanes; l++ {
-				mmGradA(opLaneGrad(a, l), opLane(b, l), out.Grad[l*st:(l+1)*st], m, k, n, firstWrite(fresh, a, l))
+				tp.split(&task{op: kMMGradA, out: opLaneGrad(a, l), x: out.Grad[l*st : (l+1)*st], y: opLane(b, l), k: k, n: n, first: firstWrite(fresh, a, l)}, m, m*k*n)
 			}
 		}
 		if b.requiresGrad {
 			b.ensureGrad()
 			for l := 0; l < lanes; l++ {
-				mmGradB(opLaneGrad(b, l), opLane(a, l), out.Grad[l*st:(l+1)*st], m, k, n)
+				tp.split(&task{op: kMMGradB, out: opLaneGrad(b, l), x: opLane(a, l), y: out.Grad[l*st : (l+1)*st], m: m, k: k, n: n}, k, m*k*n)
 			}
 		}
 	})
@@ -189,19 +189,20 @@ func mmGradA(ag, bd, og []float64, m, k, n int, first bool) {
 	}
 }
 
-// mmGradB accumulates dB = Aᵀ·dOut into bg: bg[kk][j] += Σ_i ad[i][kk]·og[i][j].
-// It streams a and dOut once, row by row, adding each row's terms into
-// the [k×n] gradient, which stays in cache; the width-8 kernel holds 8
-// of the row's dOut entries in locals across the row of a.
-func mmGradB(bg, ad, og []float64, m, k, n int) {
+// mmGradB accumulates rows [k0, k1) of dB = Aᵀ·dOut into bg:
+// bg[kk][j] += Σ_i ad[i][kk]·og[i][j]. It streams a and dOut once, row
+// by row, adding each row's terms into the [k×n] gradient, which stays
+// in cache; the width-8 kernel holds 8 of the row's dOut entries in
+// locals across the row of a. Every block of kk still walks i in order.
+func mmGradB(bg, ad, og []float64, m, k, n, k0, k1 int) {
 	for i := 0; i < m; i++ {
-		ar, gr := ad[i*k:(i+1)*k], og[i*n:(i+1)*n]
+		ar, gr := ad[i*k+k0:i*k+k1], og[i*n:(i+1)*n]
 		if n%8 != 0 {
 			for kk, av := range ar {
 				if av == 0 {
 					continue
 				}
-				bgr := bg[kk*n : (kk+1)*n]
+				bgr := bg[(k0+kk)*n : (k0+kk+1)*n]
 				for j, x := range gr {
 					bgr[j] += av * x
 				}
@@ -211,7 +212,7 @@ func mmGradB(bg, ad, og []float64, m, k, n int) {
 		for jb := 0; jb < n; jb += 8 {
 			g := (*[8]float64)(gr[jb:])
 			g0, g1, g2, g3, g4, g5, g6, g7 := g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7]
-			bo := jb - n
+			bo := k0*n + jb - n
 			for _, av := range ar {
 				bo += n
 				if av == 0 {
@@ -231,9 +232,10 @@ func mmGradB(bg, ad, og []float64, m, k, n int) {
 	}
 }
 
-// biasGrad accumulates the bias gradient vg[j] += Σ_i og[i][j].
-func biasGrad(vg, og []float64, m, n int) {
+// biasGrad accumulates columns [j0, j1) of the bias gradient
+// vg[j] += Σ_i og[i][j].
+func biasGrad(vg, og []float64, m, n, j0, j1 int) {
 	for i := 0; i < m; i++ {
-		addTo(vg, og[i*n:(i+1)*n])
+		addTo(vg[j0:j1], og[i*n+j0:i*n+j1])
 	}
 }

@@ -165,9 +165,9 @@ func (t *Tensor) Clone() *Tensor {
 }
 
 // Tape records operations for reverse-mode differentiation. A tape
-// built by NewTapeWS (or Workspace.Tape) draws op-result storage from
-// its workspace; a plain NewTape allocates, and both produce
-// byte-identical values.
+// owned by a workspace (Workspace.Tape) draws op-result storage from it
+// and splits large kernels across its pool; a plain NewTape allocates
+// and runs serially, and both produce byte-identical values.
 type Tape struct {
 	backwards []func()
 	ws        *Workspace
@@ -322,10 +322,7 @@ func (tp *Tape) Add(a, b *Tensor) (*Tensor, error) {
 	out := tp.resultRaw(lanes, a.Rows, a.Cols, a.requiresGrad || b.requiresGrad)
 	st := out.laneStride()
 	for l := 0; l < lanes; l++ {
-		ad, bd, od := opLane(a, l), opLane(b, l), out.Data[l*st:(l+1)*st]
-		for i := range od {
-			od[i] = ad[i] + bd[i]
-		}
+		tp.split(&task{op: kAdd, out: out.Data[l*st : (l+1)*st], x: opLane(a, l), y: opLane(b, l)}, st, st*costMove)
 	}
 	if out.requiresGrad {
 		tp.record(func() {
@@ -335,13 +332,13 @@ func (tp *Tape) Add(a, b *Tensor) (*Tensor, error) {
 			if a.requiresGrad {
 				fresh := a.gradRaw()
 				for l := 0; l < lanes; l++ {
-					gradAdd(opLaneGrad(a, l), out.Grad[l*st:(l+1)*st], firstWrite(fresh, a, l))
+					tp.split(&task{op: kGradAdd, out: opLaneGrad(a, l), x: out.Grad[l*st : (l+1)*st], first: firstWrite(fresh, a, l)}, st, st*costMove)
 				}
 			}
 			if b.requiresGrad {
 				fresh := b.gradRaw()
 				for l := 0; l < lanes; l++ {
-					gradAdd(opLaneGrad(b, l), out.Grad[l*st:(l+1)*st], firstWrite(fresh, b, l))
+					tp.split(&task{op: kGradAdd, out: opLaneGrad(b, l), x: out.Grad[l*st : (l+1)*st], first: firstWrite(fresh, b, l)}, st, st*costMove)
 				}
 			}
 		})
@@ -370,10 +367,7 @@ func (tp *Tape) Mul(a, b *Tensor) (*Tensor, error) {
 	out := tp.resultRaw(lanes, a.Rows, a.Cols, a.requiresGrad || b.requiresGrad)
 	st := out.laneStride()
 	for l := 0; l < lanes; l++ {
-		ad, bd, od := opLane(a, l), opLane(b, l), out.Data[l*st:(l+1)*st]
-		for i := range od {
-			od[i] = ad[i] * bd[i]
-		}
+		tp.split(&task{op: kMul, out: out.Data[l*st : (l+1)*st], x: opLane(a, l), y: opLane(b, l)}, st, st*costMove)
 	}
 	if out.requiresGrad {
 		tp.record(func() {
@@ -383,13 +377,13 @@ func (tp *Tape) Mul(a, b *Tensor) (*Tensor, error) {
 			if a.requiresGrad {
 				fresh := a.gradRaw()
 				for l := 0; l < lanes; l++ {
-					mulGrad(opLaneGrad(a, l), out.Grad[l*st:(l+1)*st], opLane(b, l), firstWrite(fresh, a, l))
+					tp.split(&task{op: kMulGrad, out: opLaneGrad(a, l), x: out.Grad[l*st : (l+1)*st], y: opLane(b, l), first: firstWrite(fresh, a, l)}, st, st*costMove)
 				}
 			}
 			if b.requiresGrad {
 				fresh := b.gradRaw()
 				for l := 0; l < lanes; l++ {
-					mulGrad(opLaneGrad(b, l), out.Grad[l*st:(l+1)*st], opLane(a, l), firstWrite(fresh, b, l))
+					tp.split(&task{op: kMulGrad, out: opLaneGrad(b, l), x: out.Grad[l*st : (l+1)*st], y: opLane(a, l), first: firstWrite(fresh, b, l)}, st, st*costMove)
 				}
 			}
 		})
@@ -526,19 +520,15 @@ func (tp *Tape) ReLU(a *Tensor) (*Tensor, error) {
 // Tanh returns tanh(a) elementwise.
 func (tp *Tape) Tanh(a *Tensor) (*Tensor, error) {
 	out := tp.resultRaw(a.LaneCount(), a.Rows, a.Cols, a.requiresGrad)
-	for i, v := range a.Data {
-		out.Data[i] = math.Tanh(v)
-	}
+	n := len(out.Data)
+	tp.split(&task{op: kTanh, out: out.Data, x: a.Data}, n, n*costTanh)
 	if out.requiresGrad {
 		tp.record(func() {
 			if out.Grad == nil {
 				return
 			}
 			fresh := a.gradRaw()
-			for i, g := range out.Grad {
-				y := out.Data[i]
-				gradPut(&a.Grad[i], g*(1-y*y), fresh)
-			}
+			tp.split(&task{op: kTanhGrad, out: a.Grad, x: out.Grad, y: out.Data, first: fresh}, n, n*costMove)
 		})
 	}
 	return out, nil
@@ -568,18 +558,15 @@ func (tp *Tape) Sigmoid(a *Tensor) (*Tensor, error) {
 // Softplus returns log(1+e^a) elementwise, computed stably.
 func (tp *Tape) Softplus(a *Tensor) (*Tensor, error) {
 	out := tp.resultRaw(a.LaneCount(), a.Rows, a.Cols, a.requiresGrad)
-	for i, v := range a.Data {
-		out.Data[i] = softplus(v)
-	}
+	n := len(out.Data)
+	tp.split(&task{op: kSoftplus, out: out.Data, x: a.Data}, n, n*costSoftplus)
 	if out.requiresGrad {
 		tp.record(func() {
 			if out.Grad == nil {
 				return
 			}
 			fresh := a.gradRaw()
-			for i, g := range out.Grad {
-				gradPut(&a.Grad[i], g/(1+math.Exp(-a.Data[i])), fresh)
-			}
+			tp.split(&task{op: kSoftplusGrad, out: a.Grad, x: out.Grad, y: a.Data, first: fresh}, n, n*costSigGrad)
 		})
 	}
 	return out, nil
@@ -658,13 +645,9 @@ func (tp *Tape) ConcatCols(ts ...*Tensor) (*Tensor, error) {
 	out := tp.resultRaw(lanes, rows, cols, req)
 	st := out.laneStride()
 	for l := 0; l < lanes; l++ {
-		od := out.Data[l*st : (l+1)*st]
 		off := 0
 		for _, t := range ts {
-			td := opLane(t, l)
-			for i := 0; i < rows; i++ {
-				copy(od[i*cols+off:i*cols+off+t.Cols], td[i*t.Cols:(i+1)*t.Cols])
-			}
+			tp.split(&task{op: kCopyCols, out: out.Data[l*st : (l+1)*st], x: opLane(t, l), k: t.Cols, n: cols, off: off}, rows, rows*t.Cols*costMove)
 			off += t.Cols
 		}
 	}
@@ -686,11 +669,7 @@ func (tp *Tape) ConcatCols(ts ...*Tensor) (*Tensor, error) {
 				off := 0
 				for pi, t := range parts {
 					if t.requiresGrad {
-						tg := opLaneGrad(t, l)
-						first := firstWrite(fresh[pi], t, l)
-						for i := 0; i < rows; i++ {
-							gradAdd(tg[i*t.Cols:(i+1)*t.Cols], og[i*cols+off:i*cols+off+t.Cols], first)
-						}
+						tp.split(&task{op: kGradCols, out: opLaneGrad(t, l), x: og, k: t.Cols, n: cols, off: off, first: firstWrite(fresh[pi], t, l)}, rows, rows*t.Cols*costMove)
 					}
 					off += t.Cols
 				}
@@ -792,10 +771,7 @@ func (tp *Tape) GatherRows(a *Tensor, idx []int32) (*Tensor, error) {
 	out := tp.resultRaw(lanes, len(idx), a.Cols, a.requiresGrad)
 	st, ast := out.laneStride(), a.laneStride()
 	for l := 0; l < lanes; l++ {
-		ad, od := a.Data[l*ast:(l+1)*ast], out.Data[l*st:(l+1)*st]
-		for i, r := range idx {
-			copy(od[i*a.Cols:(i+1)*a.Cols], ad[int(r)*a.Cols:(int(r)+1)*a.Cols])
-		}
+		tp.split(&task{op: kGather, out: out.Data[l*st : (l+1)*st], x: a.Data[l*ast : (l+1)*ast], idx: idx, n: a.Cols}, len(idx), st*costMove)
 	}
 	if out.requiresGrad {
 		rows := tp.captureI32(idx)
@@ -803,12 +779,10 @@ func (tp *Tape) GatherRows(a *Tensor, idx []int32) (*Tensor, error) {
 			if out.Grad == nil {
 				return
 			}
-			a.ensureGrad()
+			// A fresh buffer is cleared block by block inside the split.
+			fresh := a.gradRaw()
 			for l := 0; l < lanes; l++ {
-				ag, og := a.Grad[l*ast:(l+1)*ast], out.Grad[l*st:(l+1)*st]
-				for i, r := range rows {
-					addTo(ag[int(r)*a.Cols:(int(r)+1)*a.Cols], og[i*a.Cols:(i+1)*a.Cols])
-				}
+				tp.split(&task{op: kScatterRows, out: a.Grad[l*ast : (l+1)*ast], x: out.Grad[l*st : (l+1)*st], idx: rows, n: a.Cols, first: fresh}, a.Rows, (ast+st)*costMove)
 			}
 		})
 	}
@@ -825,13 +799,11 @@ func (tp *Tape) SegmentSum(a *Tensor, seg []int32, nOut int) (*Tensor, error) {
 		return nil, err
 	}
 	lanes := a.LaneCount()
-	out := tp.resultL(lanes, nOut, a.Cols, a.requiresGrad)
+	// The kernel clears its own block of rows before accumulating.
+	out := tp.resultRaw(lanes, nOut, a.Cols, a.requiresGrad)
 	st, ast := out.laneStride(), a.laneStride()
 	for l := 0; l < lanes; l++ {
-		ad, od := a.Data[l*ast:(l+1)*ast], out.Data[l*st:(l+1)*st]
-		for i, s := range seg {
-			addTo(od[int(s)*a.Cols:(int(s)+1)*a.Cols], ad[i*a.Cols:(i+1)*a.Cols])
-		}
+		tp.split(&task{op: kScatterRows, out: out.Data[l*st : (l+1)*st], x: a.Data[l*ast : (l+1)*ast], idx: seg, n: a.Cols, first: true}, nOut, (ast+st)*costMove)
 	}
 	if out.requiresGrad {
 		ids := tp.captureI32(seg)
@@ -841,10 +813,7 @@ func (tp *Tape) SegmentSum(a *Tensor, seg []int32, nOut int) (*Tensor, error) {
 			}
 			fresh := a.gradRaw()
 			for l := 0; l < lanes; l++ {
-				ag, og := a.Grad[l*ast:(l+1)*ast], out.Grad[l*st:(l+1)*st]
-				for i, s := range ids {
-					gradAdd(ag[i*a.Cols:(i+1)*a.Cols], og[int(s)*a.Cols:(int(s)+1)*a.Cols], fresh)
-				}
+				tp.split(&task{op: kGatherGrad, out: a.Grad[l*ast : (l+1)*ast], x: out.Grad[l*st : (l+1)*st], idx: ids, n: a.Cols, first: fresh}, a.Rows, ast*costMove)
 			}
 		})
 	}
@@ -880,16 +849,7 @@ func (tp *Tape) ScatterAdd(a, v *Tensor, idx []int32) (*Tensor, error) {
 	out := tp.resultRaw(lanes, a.Rows, c, a.requiresGrad || v.requiresGrad)
 	st := out.laneStride()
 	for l := 0; l < lanes; l++ {
-		ad, vd, od := opLane(a, l), opLane(v, l), out.Data[l*st:(l+1)*st]
-		for i, x := range ad {
-			od[i] = x + 0
-		}
-		for i, r := range idx {
-			o, ar, vr := od[int(r)*c:(int(r)+1)*c], ad[int(r)*c:(int(r)+1)*c], vd[i*c:(i+1)*c]
-			for j, x := range vr {
-				o[j] = ar[j] + (x + 0)
-			}
-		}
+		tp.split(&task{op: kScatterAdd, out: out.Data[l*st : (l+1)*st], x: opLane(v, l), y: opLane(a, l), idx: idx, n: c}, a.Rows, (st+v.laneStride())*costMove)
 	}
 	if out.requiresGrad {
 		rows := tp.captureI32(idx)
@@ -908,16 +868,14 @@ func (tp *Tape) ScatterAdd(a, v *Tensor, idx []int32) (*Tensor, error) {
 			case a.requiresGrad:
 				fresh := a.gradRaw()
 				for l := 0; l < lanes; l++ {
-					gradAdd(opLaneGrad(a, l), out.Grad[l*st:(l+1)*st], firstWrite(fresh, a, l))
+					tp.split(&task{op: kGradAdd, out: opLaneGrad(a, l), x: out.Grad[l*st : (l+1)*st], first: firstWrite(fresh, a, l)}, st, st*costMove)
 				}
 			}
 			if v.requiresGrad {
 				fresh := v.gradRaw()
+				vst := v.laneStride()
 				for l := 0; l < lanes; l++ {
-					vg, og, first := opLaneGrad(v, l), out.Grad[l*st:(l+1)*st], firstWrite(fresh, v, l)
-					for i, r := range rows {
-						gradAdd(vg[i*c:(i+1)*c], og[int(r)*c:(int(r)+1)*c], first)
-					}
+					tp.split(&task{op: kGatherGrad, out: opLaneGrad(v, l), x: out.Grad[l*st : (l+1)*st], idx: rows, n: c, first: firstWrite(fresh, v, l)}, len(rows), vst*costMove)
 				}
 			}
 		})

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Workspace is an arena of reusable tensor storage for the evaluation hot
 // path: instead of allocating fresh Data/Grad buffers, tensor headers and
@@ -19,6 +22,12 @@ import "fmt"
 // result they keep (gradients, metrics) out of workspace storage before
 // resetting. A Workspace is not safe for concurrent use; parallel fan-outs
 // own one workspace per goroutine.
+//
+// A workspace built by NewParallelWorkspace also owns a helper pool: its
+// tape splits each large kernel into contiguous blocks of output
+// elements and runs them on the caller and the helpers at once. Every
+// output element is computed by the serial loop in the serial order, so
+// the bits are the same at every width; Close stops the helpers.
 type Workspace struct {
 	f64   map[int][][]float64
 	i32   map[int][][]int32
@@ -32,22 +41,46 @@ type Workspace struct {
 	usedHeaders []*Tensor
 
 	tape *Tape
+	pool *pool // nil when serial or closed
 
-	grabs, hits int64
+	grabs, hits, splits, reclaimed int64
 }
 
-// NewWorkspace returns an empty workspace.
-func NewWorkspace() *Workspace {
-	return &Workspace{
+// NewWorkspace returns an empty serial workspace.
+func NewWorkspace() *Workspace { return newWorkspace(1, defaultMinSplit) }
+
+// NewParallelWorkspace returns an empty workspace whose tape splits large
+// kernels across width goroutines, the caller's included; width is
+// clamped to [1, GOMAXPROCS], and width 1 is NewWorkspace. Results are
+// bit-identical at every width. The caller must Close it to stop the
+// width-1 helper goroutines.
+func NewParallelWorkspace(width int) *Workspace {
+	return newWorkspace(min(width, runtime.GOMAXPROCS(0)), defaultMinSplit)
+}
+
+// newWorkspace builds a workspace of exactly width goroutines that
+// splits ops of at least minSplit work units (tests force the edges).
+func newWorkspace(width, minSplit int) *Workspace {
+	ws := &Workspace{
 		f64:   map[int][][]float64{},
 		i32:   map[int][][]int32{},
 		bools: map[int][][]bool{},
 	}
+	if width > 1 {
+		ws.pool = newPool(width, minSplit)
+	}
+	return ws
 }
 
-// NewTapeWS returns a tape whose op results draw storage from ws
-// (nil ws degrades to a plain allocating tape).
-func NewTapeWS(ws *Workspace) *Tape { return &Tape{ws: ws} }
+// Close stops the workspace's helper goroutines and returns once every
+// one has exited; the workspace stays usable, serially. Closing a serial
+// or already closed workspace does nothing.
+func (ws *Workspace) Close() {
+	if ws.pool != nil {
+		ws.pool.close()
+		ws.pool = nil
+	}
+}
 
 // Tape resets the workspace and returns its owned tape (also reset) —
 // the per-iteration entry point: every tensor and recording from the
@@ -81,15 +114,18 @@ func (ws *Workspace) Reset() {
 }
 
 // WorkspaceStats summarizes pool behavior for telemetry: Grabs counts
-// buffer requests, Hits the requests served from a free list.
+// buffer requests, Hits the requests served from a free list, Splits the
+// ops split across the helper pool and Reclaimed the blocks of those that
+// the caller took back because no helper had claimed them yet.
 type WorkspaceStats struct {
-	Grabs, Hits int64
+	Grabs, Hits       int64
+	Splits, Reclaimed int64
 }
 
 // Stats returns cumulative pool counters (telemetry only — never fed back
 // into computation).
 func (ws *Workspace) Stats() WorkspaceStats {
-	return WorkspaceStats{Grabs: ws.grabs, Hits: ws.hits}
+	return WorkspaceStats{Grabs: ws.grabs, Hits: ws.hits, Splits: ws.splits, Reclaimed: ws.reclaimed}
 }
 
 // grabF64 returns a zeroed length-n float64 slice from the pool.

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"runtime"
 	"testing"
 
 	"tsteiner/internal/flow"
@@ -10,7 +11,8 @@ import (
 
 // BenchmarkTrainStep measures one training step (forward, backward,
 // Adam update) on the APU benchmark with one reused workspace and one
-// optimizer, as Train runs it.
+// optimizer, as Train runs it. The workspace's pool is as wide as the
+// run's GOMAXPROCS, so -cpu 1,2 measures the serial and the split path.
 func BenchmarkTrainStep(b *testing.B) {
 	s, err := BuildSample("APU", 1.0, true, flow.DefaultConfig())
 	if err != nil {
@@ -22,7 +24,8 @@ func BenchmarkTrainStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ws := tensor.NewWorkspace()
+	ws := tensor.NewParallelWorkspace(runtime.GOMAXPROCS(0))
+	defer ws.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -30,4 +33,7 @@ func BenchmarkTrainStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	st := ws.Stats()
+	b.ReportMetric(float64(st.Splits)/float64(b.N), "splits/op")
+	b.ReportMetric(float64(st.Reclaimed)/float64(b.N), "reclaimed/op")
 }

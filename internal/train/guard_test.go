@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,5 +126,60 @@ func TestTrainCorruptCheckpointFailsLoudly(t *testing.T) {
 	var ce *guard.CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("torn checkpoint: got %v, want *guard.CorruptError", err)
+	}
+}
+
+// poolHelpers counts the goroutines running a tensor pool helper.
+func poolHelpers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "tensor.(*pool).help(")
+}
+
+// waitNoPoolHelpers fails unless every pool helper is gone. Close has
+// returned once the helpers are done; the poll only covers the last
+// instructions of a goroutine that is already exiting.
+func waitNoPoolHelpers(t *testing.T, label string) {
+	t.Helper()
+	for i := 0; poolHelpers() > 0; i++ {
+		if i == 200 {
+			t.Fatalf("%s: %d pool helper goroutines still running", label, poolHelpers())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTrainStopsPoolHelpers: Train closes its workspace's helper pool on
+// every return path — a normal return, a budget cutoff before the first
+// epoch and a refused poisoned step — so no helper outlives the call.
+// With two CPUs the helpers must also be running during training.
+func TestTrainStopsPoolHelpers(t *testing.T) {
+	s := sample(t, "spm", 1.0, true)
+	waitNoPoolHelpers(t, "before training")
+	expired := &guard.Budget{Wall: time.Nanosecond}
+	expired.Start()
+	time.Sleep(time.Millisecond)
+	inj := fault.New(11)
+	inj.Arm("train.nan", 2)
+	for _, c := range []struct {
+		name    string
+		opt     Options
+		wantErr bool
+	}{
+		{"normal", Options{Epochs: 3}, false},
+		{"budget cutoff", Options{Epochs: 3, Budget: expired}, false},
+		{"nan guard", Options{Epochs: 3, Fault: inj}, true},
+	} {
+		opt := c.opt
+		opt.LR, opt.Seed, opt.Workers = 1e-2, 1, 2
+		during := -1
+		opt.Verbose = func(int, float64) { during = poolHelpers() }
+		_, err := Train(gnn.NewModel(gnn.DefaultConfig(), 5), []*Sample{s}, opt)
+		if (err != nil) != c.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", c.name, err, c.wantErr)
+		}
+		if runtime.GOMAXPROCS(0) >= 2 && during == 0 {
+			t.Fatalf("%s: no pool helper ran during training at GOMAXPROCS %d", c.name, runtime.GOMAXPROCS(0))
+		}
+		waitNoPoolHelpers(t, c.name)
 	}
 }

@@ -104,7 +104,10 @@ type Options struct {
 	Epochs int
 	LR     float64 // paper: 5e-4
 	Seed   int64
-	// Deprecated: training is sequential; Workers has no effect.
+	// Workers is the width of the training workspace's pool, which
+	// splits each large tensor kernel across that many goroutines. It
+	// follows par.Workers (0 = GOMAXPROCS, 1 = serial) and is clamped to
+	// GOMAXPROCS. The trained parameters are bit-identical at every width.
 	Workers int
 	// Verbose receives per-epoch losses when non-nil.
 	Verbose func(epoch int, loss float64)
@@ -214,8 +217,9 @@ func Train(m *gnn.Model, samples []*Sample, opt Options) (float64, error) {
 	}
 	// One tensor workspace, reused across steps. Buffer reuse never
 	// changes results — workspace purity makes every gradient a function
-	// of (parameters, sample) alone.
-	ws := tensor.NewWorkspace()
+	// of (parameters, sample) alone — and neither does its pool width.
+	ws := tensor.NewParallelWorkspace(par.Workers(opt.Workers))
+	defer ws.Close()
 	for ep := startEp; ep < opt.Epochs; ep++ {
 		if reason, over := opt.Budget.ExceededWall(); over {
 			opt.Obs.Add("train.budget_cutoffs", 1)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # verify.sh — the contributor verification loop from CLAUDE.md:
-# build, vet, full tests, then the race-mode pass that gates the
+# a gofmt gate, build, vet, full tests, then the race-mode pass that gates the
 # concurrency layer (internal/par and the obs collectors), a race-mode
 # pass over the fault-tolerance suite (injected faults, checkpoint/
 # resume, panic containment), the property/differential-oracle gate,
@@ -8,8 +8,8 @@
 # windowed-STA oracle, streaming loader, and the BENCH_scale.json
 # sub-linearity re-measurement), the multi-corner sign-off gates
 # (per-corner fixpoint oracle, corner properties, and the multi-corner
-# shard determinism matrix under -race), a
-# short native-fuzz smoke over the byte-level decoders, the pinned
+# shard determinism matrix under -race), the tensor split-kernel
+# bit-identity gate under -race, a short native-fuzz smoke over the byte-level decoders, the pinned
 # refine-trajectory and benchmark-replay gates, the
 # allocation-regression gate against BENCH_refine.json (including the
 # batched per-candidate records), the live-observability smoke gate
@@ -19,6 +19,14 @@
 # the per-package coverage baseline in COVERAGE.md.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# Formatting gate: every Go file must be gofmt-clean.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "gofmt needed on:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 
 go build ./...
 go vet ./...
@@ -39,12 +47,19 @@ go test -race -run 'ObsServer|ConcurrentScrapes' ./internal/obs ./internal/exp
 # Property-based tests + brute-force differential oracles.
 go test -run 'Prop|Oracle' ./...
 
+# Split-kernel gate: the tensor pool's split kernels against the serial
+# ones at widths 1-3, and the pinned trained-model hash (trained on the
+# pool), repeated under the race detector.
+go test -race -count=10 -run 'PropSplit|TrainedModelHash' ./internal/tensor ./internal/train
+
 # Router benchmark smoke: one iteration each of the allocation-reporting
 # global-route and maze-search benchmarks, so they keep compiling and
 # running. The training-step benchmark (APU, one reused workspace) gets
-# the same smoke.
+# the same smoke at GOMAXPROCS 1 and 2: a serial and a 2-wide pool
+# (2x, not 1x: with 1x the testing package reports its probe run, made
+# at the default GOMAXPROCS, as the first -cpu entry).
 go test -run '^$' -bench 'GlobalRoute|MazeRoute' -benchtime 1x ./internal/route
-go test -run '^$' -bench 'TrainStep' -benchtime 1x ./internal/train
+go test -run '^$' -bench 'TrainStep' -benchtime 2x -cpu 1,2 ./internal/train
 
 # Multi-corner sign-off gates: the per-corner fixpoint oracle on all ten
 # benchmarks, typical-corner bitwise identity, the matrix-penalty
